@@ -45,9 +45,8 @@ bench:
 # (WAL-backed, fsync-always) store and the audit stream on, drive a
 # 1k-device enrollment + verify round through it
 # (BenchmarkAuthserveEnroll/Verify + verify latency percentiles), then
-# run the store-level enroll benchmarks against a 1k-device store
-# (BenchmarkStoreEnrollWAL vs the pre-WAL write-through model
-# BenchmarkStoreEnrollSnapshot), the group-commit scaling curve
+# run the store-level enroll benchmark against a 1k-device store
+# (BenchmarkStoreEnrollWAL), the group-commit scaling curve
 # (BenchmarkStoreEnrollWALParallel at clients=1/8/64 — enrolls/s must
 # grow with concurrency; 4000x so each leg runs long enough for the
 # committer to reach steady state) and the audit-on vs audit-off verify
@@ -64,7 +63,7 @@ bench-authserve:
 	/tmp/ropuf-bench loadgen -addr http://127.0.0.1:18081 -devices 1024 -rounds 1 \
 		-bench-out "" || { kill $$SRV; exit 1; }; \
 	kill -INT $$SRV; wait $$SRV; \
-	$(GO) test -run xxx -bench 'BenchmarkStoreEnroll(WAL|Snapshot)$$' -benchtime 50x ./internal/authserve; \
+	$(GO) test -run xxx -bench 'BenchmarkStoreEnrollWAL$$' -benchtime 50x ./internal/authserve; \
 	$(GO) test -run xxx -bench 'BenchmarkStoreEnrollWALParallel' -benchtime 4000x ./internal/authserve; \
 	$(GO) test -run xxx -bench 'BenchmarkServerVerifyAudit' -benchtime 3000x -benchmem ./internal/authserve ) \
 		| $(GO) run ./cmd/benchjson -o BENCH_authserve.json
@@ -83,12 +82,12 @@ bench-smoke:
 fleet-bench:
 	$(GO) test -run xxx -bench 'BenchmarkFleetEnroll' -benchtime 10x .
 
-# Fuzz the verifier snapshot decoder and the shard-corpus decoders against
+# Fuzz the shard segment decoder and the shard-corpus decoders against
 # hostile bytes (CI runs these for short bursts; crashes land under the
 # packages' testdata/fuzz directories).
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run FuzzLoadVerifier -fuzz FuzzLoadVerifier -fuzztime $(FUZZTIME) ./internal/auth
+	$(GO) test -run FuzzSegment -fuzz FuzzSegment -fuzztime $(FUZZTIME) ./internal/authserve
 	$(GO) test -run FuzzShardBin -fuzz FuzzShardBin -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run FuzzManifest -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/dataset
 
@@ -119,7 +118,7 @@ datasetgen-smoke:
 # then SIGINT the server and require a clean drain. A second leg proves
 # crash durability end to end: restart on the same data dir, issue a
 # challenge, kill -9 the process, restart again, and require the enrolled
-# fleet to replay from snapshot + WAL while the pre-crash nonce answers
+# fleet to replay from segment + WAL while the pre-crash nonce answers
 # 404 (outstanding challenges are deliberately memory-only). Both
 # processes write span JSONL files; `ropuf tracestat` must stitch the
 # client and server spans into shared traces (>=99% of traces cross the

@@ -21,23 +21,23 @@ import (
 // /debug/pprof, all on one address. /healthz is SLO-aware: it answers
 // 503 with machine-readable reasons while the error budget (-slo-objective
 // over -slo-window) burns faster than -max-burn-rate, the admission queue
-// is saturated, snapshots are failing, or the write-ahead log is stalled —
+// is saturated, segment writes are failing, or the write-ahead log is stalled —
 // and recovers to 200 once the window clears. With -data the device store
 // survives restarts: every mutation appends a checksummed record to a
-// per-shard write-ahead log (fsynced per -fsync) and restart recovery is
-// snapshot + log replay; a background compactor folds logs past
-// -wal-compact-bytes into the shard snapshots. Without -data the store is
+// per-shard write-ahead log (fsynced per -fsync) and restart recovery
+// replays segment then log; a background compactor folds logs past
+// -wal-compact-bytes into the shard segments. Without -data the store is
 // in-memory. Ctrl-C / SIGTERM drain gracefully: the listener stops
 // accepting, in-flight requests get -drain to finish, and the logs are
-// folded into final snapshots before exit.
+// folded into final segments before exit.
 func runServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	dataDir := fs.String("data", "", "data directory for snapshots + WALs (empty = in-memory store)")
+	dataDir := fs.String("data", "", "data directory for shard segments + WALs (empty = in-memory store)")
 	tolerance := fs.Float64("tolerance", 0.10, "accepted Hamming-distance fraction")
 	shards := fs.Int("shards", 16, "device store lock shards")
 	walCompact := fs.Int64("wal-compact-bytes", 4<<20, "per-shard WAL size that triggers background compaction (<0 disables)")
-	fsyncMode := fs.String("fsync", "always", "durability flush policy: always (fsync every WAL append and snapshot) or off (page cache only)")
+	fsyncMode := fs.String("fsync", "always", "durability flush policy: always (fsync every WAL append and segment) or off (page cache only)")
 	maxInflight := fs.Int("max-inflight", 64, "max concurrently executing requests")
 	maxQueue := fs.Int("max-queue", 256, "max requests queued for an inflight slot (excess get 429)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
@@ -135,7 +135,7 @@ func runServe(ctx context.Context, args []string) error {
 		if a, ok := <-started; ok {
 			persist := "in-memory"
 			if *dataDir != "" {
-				persist = fmt.Sprintf("WAL+snapshots in %s, fsync %s", *dataDir, fsyncPolicy)
+				persist = fmt.Sprintf("WAL+segments in %s, fsync %s", *dataDir, fsyncPolicy)
 			}
 			fmt.Fprintf(os.Stderr, "authserve listening on http://%s (%d devices, %s, tolerance %g)\n",
 				a, store.NumDevices(), persist, *tolerance)

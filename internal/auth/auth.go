@@ -126,7 +126,7 @@ func (v *Verifier) Enroll(id string, pairs []core.Pair, mode core.Mode) (*Device
 // selection algorithm; the enrollment is trusted as stored. It is
 // idempotent-friendly: re-applying an existing ID fails with
 // ErrDuplicateDevice, which a replayer that may see the same record twice
-// (snapshot written, log not yet truncated) skips with errors.Is.
+// (compacted segment written, log not yet truncated) skips with errors.Is.
 func (v *Verifier) ApplyEnroll(id string, enr *core.Enrollment) error {
 	if id == "" {
 		return errors.New("auth: empty device ID")
@@ -155,7 +155,7 @@ func (v *Verifier) Unenroll(id string) bool {
 
 // MarkUsed consumes the given pair indices — the replay path for a logged
 // challenge issuance. Marking an already-consumed pair is a no-op, so
-// replaying a log over a snapshot that already contains its effects
+// replaying a log over a segment that already contains its effects
 // converges instead of double-counting.
 func (v *Verifier) MarkUsed(id string, pairs []int) error {
 	rec, ok := v.devices[id]
@@ -191,6 +191,19 @@ func (v *Verifier) UnmarkUsed(id string, pairs []int) error {
 		rec.used[i] = false
 	}
 	return nil
+}
+
+// Consumed returns the record's consumed pair indices in ascending order
+// (nil when none) — what a durability layer writes out to restore the
+// device later with ApplyEnroll plus one MarkUsed.
+func (r *DeviceRecord) Consumed() []int {
+	var out []int
+	for i, u := range r.used {
+		if u {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // NumFresh returns how many unconsumed pairs a device still has.

@@ -220,3 +220,58 @@ func TestExactResponseHasZeroDistance(t *testing.T) {
 		t.Fatalf("noiseless response: ok=%v d=%d, want true/0", ok, d)
 	}
 }
+
+// TestConsumedRestoresViaMarkUsed pins the accessor a durability layer
+// writes out: Consumed lists exactly the challenged pairs in ascending
+// order, and ApplyEnroll plus MarkUsed(Consumed()) rebuilds a device with
+// the same fresh count that never re-issues those pairs.
+func TestConsumedRestoresViaMarkUsed(t *testing.T) {
+	v, rec, _ := newTestVerifier(t)
+	if got := rec.Consumed(); got != nil {
+		t.Fatalf("fresh device reports consumed pairs %v", got)
+	}
+	want := map[int]bool{}
+	for round := 0; round < 2; round++ {
+		ch, err := v.NewChallenge("dev0", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range ch.Pairs {
+			want[i] = true
+		}
+	}
+	got := rec.Consumed()
+	if len(got) != len(want) {
+		t.Fatalf("Consumed() has %d pairs, want %d", len(got), len(want))
+	}
+	for n, i := range got {
+		if !want[i] || (n > 0 && got[n-1] >= i) {
+			t.Fatalf("Consumed() = %v: not the ascending set of challenged pairs", got)
+		}
+	}
+
+	restored, err := NewVerifier(v.Tolerance, rngx.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ApplyEnroll("dev0", rec.Enrollment); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.MarkUsed("dev0", got); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := v.NumFresh("dev0")
+	b, _ := restored.NumFresh("dev0")
+	if a != b {
+		t.Fatalf("restored fresh=%d, original %d", b, a)
+	}
+	ch, err := restored.NewChallenge("dev0", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range ch.Pairs {
+		if want[i] {
+			t.Fatalf("restored verifier re-issued consumed pair %d", i)
+		}
+	}
+}

@@ -18,14 +18,10 @@ import (
 	"ropuf/internal/obs/audit"
 )
 
-// benchmarkStoreEnroll measures the durable-enroll cost against a store
-// preloaded with 1024 devices (the acceptance scale for the WAL work).
-// writeThrough=false is the shipping path: one O(record) WAL append +
-// fsync per enroll. writeThrough=true re-runs the pre-WAL durability
-// model on the same store — every enroll rewrites the device's whole
-// shard snapshot, O(shard) and growing with fleet size — so the two
-// numbers side by side in BENCH_authserve.json pin the complexity claim.
-func benchmarkStoreEnroll(b *testing.B, writeThrough bool) {
+// BenchmarkStoreEnrollWAL measures the durable-enroll cost against a
+// store preloaded with 1024 devices (the acceptance scale for the WAL
+// work): one O(record) WAL append + fsync per enroll.
+func BenchmarkStoreEnrollWAL(b *testing.B) {
 	// A small pool of fabricated silicon is enough: enroll cost depends on
 	// pair count, not on which pairs, so iterations reuse pool pairs under
 	// fresh device IDs instead of fabricating b.N devices.
@@ -43,8 +39,7 @@ func benchmarkStoreEnroll(b *testing.B, writeThrough bool) {
 			b.Fatal(err)
 		}
 	}
-	// Fold the preload so both variants start identically: 1024 devices in
-	// shard snapshots, empty logs.
+	// Fold the preload: 1024 devices in shard segments, empty logs.
 	if err := store.SaveAll(); err != nil {
 		b.Fatal(err)
 	}
@@ -56,20 +51,8 @@ func benchmarkStoreEnroll(b *testing.B, writeThrough bool) {
 		if _, err := store.Enroll(id, pool[i%len(pool)].Pairs, core.Case2); err != nil {
 			b.Fatal(err)
 		}
-		if writeThrough {
-			sh := store.shardFor(id)
-			sh.mu.Lock()
-			err := sh.persistLocked()
-			sh.mu.Unlock()
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
-
-func BenchmarkStoreEnrollWAL(b *testing.B)      { benchmarkStoreEnroll(b, false) }
-func BenchmarkStoreEnrollSnapshot(b *testing.B) { benchmarkStoreEnroll(b, true) }
 
 // BenchmarkStoreEnrollWALParallel measures durable enroll throughput as
 // client concurrency grows — the group-commit acceptance benchmark. With

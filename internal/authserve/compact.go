@@ -2,8 +2,8 @@ package authserve
 
 // Background WAL compaction. The log keeps mutations O(record), but an
 // unbounded log makes recovery O(history); the compactor bounds it by
-// folding any shard log past StoreOptions.CompactBytes back into the
-// shard's auth.Save snapshot.
+// folding any shard log past StoreOptions.CompactBytes into the shard's
+// segment (see the Segments section of wal.go).
 //
 // # State machine
 //
@@ -11,25 +11,25 @@ package authserve
 //
 //  0. barrier: flush the group-commit queue (wal.flush). With the fsync
 //     wait decoupled from the shard lock, in-memory state can be ahead
-//     of the durable log; snapshotting such state would persist
+//     of the durable log; writing such state out would persist
 //     mutations whose commit may still fail and roll back. The barrier
 //     waits until every previously submitted record has a verdict —
 //     and holding the shard lock guarantees no new ones race in.
-//  1. snapshot: write the verifier state durably (temp file, fsync,
-//     rename, directory fsync — persistLocked). The snapshot now
+//  1. segment: write the verifier state durably (temp file, fsync,
+//     rename, directory fsync — persistLocked). The segment now
 //     contains everything the log does.
 //  2. truncate: reset the WAL to empty and fsync the truncation.
 //
-// Crash anywhere before step 1's rename finishes: the old snapshot plus
+// Crash anywhere before step 1's rename finishes: the old segment plus
 // the full log recover the state. Crash between the rename and step 2:
-// the NEW snapshot plus the full log — replay is idempotent (duplicate
+// the NEW segment plus the full log — replay is idempotent (duplicate
 // enrolls skipped, consume re-marks), so recovery converges to the same
-// state. Crash after step 2: the new snapshot plus an empty log. There is
+// state. Crash after step 2: the new segment plus an empty log. There is
 // no ordering in which an acknowledged mutation is lost.
 //
-// Holding the shard lock for the snapshot write pauses that one shard's
+// Holding the shard lock for the segment write pauses that one shard's
 // requests for the write's duration; the other shards keep serving. The
-// alternative (copy-on-write snapshots) buys latency with a full state
+// alternative (copy-on-write state) buys latency with a full state
 // copy — not worth it at the shard sizes the threshold implies.
 
 // compactor owns the background folding goroutine. Appends kick it
@@ -91,8 +91,8 @@ func (s *Store) compactOverThreshold() {
 	}
 }
 
-// compactShardLocked folds one shard's WAL into its snapshot; the caller
-// holds the shard lock. An empty log is a no-op (the snapshot is already
+// compactShardLocked folds one shard's WAL into its segment; the caller
+// holds the shard lock. An empty log is a no-op (the segment is already
 // current).
 func (s *Store) compactShardLocked(sh *shard) error {
 	if sh.wal == nil {
@@ -101,7 +101,7 @@ func (s *Store) compactShardLocked(sh *shard) error {
 	if err := sh.wal.flush(); err != nil {
 		// A failed barrier means a group commit failed (the WAL is
 		// latched broken): the in-memory state contains rolled-back (or
-		// about-to-roll-back) mutations and must not be snapshotted.
+		// about-to-roll-back) mutations and must not be written out.
 		return err
 	}
 	if sh.wal.committedSize() == 0 {

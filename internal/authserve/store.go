@@ -39,17 +39,21 @@
 // device re-challenged after a crash can never be asked to re-expose
 // bits it already revealed.
 //
-// Recovery at Open is snapshot + log replay: load the shard snapshot if
-// one exists, then re-apply the log's records, truncating any torn tail
-// (a record cut short by the crash) first. Replay is idempotent — an
-// enroll record whose device is already in the snapshot is skipped, a
-// consume record re-marks already-consumed pairs — so the crash window
-// between a compaction's snapshot rename and its log truncation is safe.
-// A background compactor (compact.go) folds logs past a size threshold
-// into the auth.Save snapshot format: snapshot is written durably first
-// (temp file, fsync, rename, directory fsync — under FsyncAlways the
-// crash leaves either the old or the new snapshot, both with enough log
-// to reconstruct the state), then the log is truncated.
+// A shard persists in one format, the log's record framing (wal.go),
+// in two files: shard-%04d.seg, a compacted segment holding the shard's
+// whole state as of the last compaction, and shard-%04d.wal, the log of
+// mutations since. Recovery at Open replays the segment, then the log,
+// through the same scanWAL + replayWAL path; only the log may end in a
+// torn record (a crash mid-append), which is truncated, while any defect
+// in a segment fails Open. Log replay is idempotent — an enroll record
+// whose device is already in the segment is skipped, a consume record
+// re-marks already-consumed pairs — so the crash window between a
+// compaction's segment rename and its log truncation is safe. A
+// background compactor (compact.go) folds logs past a size threshold
+// into the segment: the segment is written durably first (temp file,
+// fsync, rename, directory fsync — under FsyncAlways the crash leaves
+// either the old or the new segment, both with enough log to
+// reconstruct the state), then the log is truncated.
 //
 // Outstanding challenge IDs are deliberately NOT persisted: a restart
 // invalidates every issued-but-unverified challenge, so responses to
@@ -102,12 +106,12 @@ type StoreOptions struct {
 	// random seed (see cmd/ropuf serve).
 	Seed uint64
 	// CompactBytes is the per-shard WAL size at which the background
-	// compactor folds the log into the shard snapshot. 0 means the
+	// compactor folds the log into the shard segment. 0 means the
 	// 4 MiB default; negative disables background compaction (the log
 	// still folds at SaveAll / graceful drain).
 	CompactBytes int64
 	// Fsync selects the durability flush policy for WAL appends and
-	// snapshot writes. The zero value is FsyncAlways.
+	// segment writes. The zero value is FsyncAlways.
 	Fsync FsyncPolicy
 	// Registry, when non-nil, receives the WAL metrics (fsync latency,
 	// record/byte counters, log size, compactions). Nil means a private
@@ -157,7 +161,7 @@ type DeviceInfo struct {
 type Store struct {
 	opt    StoreOptions
 	shards []*shard
-	// snapshotFailures counts failed snapshot writes (compaction and
+	// snapshotFailures counts failed segment writes (compaction and
 	// SaveAll); /healthz degrades when failures land inside its rolling
 	// window.
 	snapshotFailures atomic.Int64
@@ -187,12 +191,12 @@ type Store struct {
 	bucketWidth time.Duration
 
 	// testCrashBeforeWALReset (tests only) aborts a compaction after the
-	// snapshot is durably in place but before the WAL is truncated —
+	// segment is durably in place but before the WAL is truncated —
 	// exactly the kill -9 window replay idempotency has to cover.
 	testCrashBeforeWALReset bool
 }
 
-// SnapshotFailures returns the cumulative count of failed shard snapshot
+// SnapshotFailures returns the cumulative count of failed shard segment
 // writes since the store was opened.
 func (s *Store) SnapshotFailures() int64 { return s.snapshotFailures.Load() }
 
@@ -224,9 +228,9 @@ type shard struct {
 	outstanding map[string]*auth.Challenge // challenge ID -> issued challenge
 	stats       map[string]*devStats       // rolling consumption telemetry (memory-only)
 	label       string                     // zero-padded shard index, for metric labels
-	path        string                     // snapshot file; "" = persistence off
+	path        string                     // segment file; "" = persistence off
 	wal         *wal                       // append-only mutation log; nil = persistence off
-	syncWrites  bool                       // fsync snapshot files + parent dir (FsyncAlways)
+	syncWrites  bool                       // fsync segment files + parent dir (FsyncAlways)
 	// walSize mirrors wal.size for lock-free reads (metrics, compaction
 	// backlog checks); the authoritative value lives in wal under mu.
 	walSize atomic.Int64
@@ -238,13 +242,16 @@ type manifestJSON struct {
 	Tolerance float64 `json:"tolerance"`
 }
 
-const manifestVersion = 1
+// manifestVersion 2 is the segment layout. A version-1 directory holds
+// JSON snapshots this code no longer reads, so Open refuses it rather
+// than start empty over enrolled devices.
+const manifestVersion = 2
 
-// Open creates the store, recovering state from opt.Dir: each shard loads
-// its snapshot (if any), then replays its write-ahead log over it. The
-// shard count and tolerance are fixed at first creation (they determine
-// device placement and the meaning of stored verdicts); opening an
-// existing directory with different options fails.
+// Open creates the store, recovering state from opt.Dir: each shard
+// replays its segment (if any), then its write-ahead log, through the
+// same decoder. The shard count and tolerance are fixed at first
+// creation (they determine device placement and the meaning of stored
+// verdicts); opening an existing directory with different options fails.
 func Open(opt StoreOptions) (*Store, error) {
 	opt = opt.withDefaults()
 	s := &Store{
@@ -269,7 +276,7 @@ func Open(opt StoreOptions) (*Store, error) {
 	s.walGroupDur = reg.NewHistogram("ropuf_authserve_wal_group_commit_duration_seconds",
 		"Latency of each WAL group commit's write+fsync.", nil)
 	s.compactions = reg.NewCounter("ropuf_authserve_wal_compactions_total",
-		"Shard WALs folded into their snapshot.")
+		"Shard WALs folded into their segment.")
 	reg.NewGaugeFunc("ropuf_authserve_wal_size_bytes",
 		"Total bytes across all shard WALs awaiting compaction.",
 		func() float64 {
@@ -316,32 +323,20 @@ func Open(opt StoreOptions) (*Store, error) {
 			label:       fmt.Sprintf("%04d", i),
 			syncWrites:  opt.Fsync == FsyncAlways,
 		}
+		v, err := auth.NewVerifier(opt.Tolerance, parent.Split())
+		if err != nil {
+			return nil, fmt.Errorf("authserve: %w", err)
+		}
+		sh.v = v
 		if opt.Dir != "" {
-			sh.path = filepath.Join(opt.Dir, fmt.Sprintf("shard-%04d.json", i))
-		}
-		if sh.path != "" {
-			if f, err := os.Open(sh.path); err == nil {
-				v, lerr := auth.LoadVerifier(f, parent.Split())
-				f.Close()
-				if lerr != nil {
-					return nil, fmt.Errorf("authserve: loading %s: %w", sh.path, lerr)
-				}
-				if v.Tolerance != opt.Tolerance {
-					return nil, fmt.Errorf("authserve: %s has tolerance %g, store wants %g", sh.path, v.Tolerance, opt.Tolerance)
-				}
-				sh.v = v
-			} else if !errors.Is(err, os.ErrNotExist) {
-				return nil, fmt.Errorf("authserve: loading %s: %w", sh.path, err)
+			sh.path = filepath.Join(opt.Dir, fmt.Sprintf("shard-%04d.seg", i))
+			data, err := os.ReadFile(sh.path)
+			if err != nil && !errors.Is(err, os.ErrNotExist) {
+				return nil, fmt.Errorf("authserve: reading segment %s: %w", sh.path, err)
 			}
-		}
-		if sh.v == nil {
-			v, err := auth.NewVerifier(opt.Tolerance, parent.Split())
-			if err != nil {
-				return nil, fmt.Errorf("authserve: %w", err)
+			if err := loadSegment(sh.v, data, sh.path); err != nil {
+				return nil, err
 			}
-			sh.v = v
-		}
-		if opt.Dir != "" {
 			w, recs, torn, err := openWAL(walPathFor(opt.Dir, i), opt.Fsync)
 			if err != nil {
 				return nil, err
@@ -382,13 +377,14 @@ func Open(opt StoreOptions) (*Store, error) {
 	return s, nil
 }
 
-// replayWAL re-applies one shard's recovered records. Replay must be
-// idempotent against the shard snapshot: a compaction crash can leave a
-// snapshot that already contains a prefix of the log (see the package
-// durability model), so duplicate enrolls are skipped and consume records
-// re-mark pairs harmlessly. A consume record for a device in neither the
-// snapshot nor an earlier record, or naming an out-of-range pair, cannot
-// come from any crash ordering and fails recovery loudly.
+// replayWAL re-applies one shard's recovered records, from its segment or
+// its log. Log replay must be idempotent against the segment: a
+// compaction crash can leave a segment that already contains a prefix of
+// the log (see the package durability model), so duplicate enrolls are
+// skipped and consume records re-mark pairs harmlessly. A consume record
+// for a device in neither the segment nor an earlier record, or naming an
+// out-of-range pair, cannot come from any crash ordering and fails
+// recovery loudly.
 func replayWAL(v *auth.Verifier, recs []walRecord, path string) error {
 	for n, rec := range recs {
 		switch rec.typ {
@@ -435,7 +431,11 @@ func (s *Store) checkManifest() error {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		m := manifestJSON{Version: manifestVersion, Shards: s.opt.Shards, Tolerance: s.opt.Tolerance}
-		return atomicWriteJSON(path, m, s.opt.Fsync == FsyncAlways)
+		data, err := json.MarshalIndent(m, "", "  ")
+		if err != nil {
+			return err
+		}
+		return atomicWrite(path, append(data, '\n'), s.opt.Fsync == FsyncAlways)
 	}
 	if err != nil {
 		return fmt.Errorf("authserve: manifest: %w", err)
@@ -738,7 +738,7 @@ func (s *Store) NumDevices() int {
 	return n
 }
 
-// SaveAll folds every shard's WAL into its snapshot (a full compaction) —
+// SaveAll folds every shard's WAL into its segment (a full compaction) —
 // run at graceful shutdown so a restart replays nothing. Without a data
 // directory it does nothing.
 func (s *Store) SaveAll() error {
@@ -751,79 +751,45 @@ func (s *Store) SaveAll() error {
 	return errors.Join(errs...)
 }
 
-// persistLocked writes the shard's snapshot: temp file, fsync (policy
-// permitting), rename, parent-directory fsync. Under FsyncAlways a crash
-// at any point leaves either the old or the new snapshot durable on disk,
-// never a torn or vanished one — without the file and directory syncs the
-// rename could be reordered after the crash and surface an empty file.
-// The caller holds the shard lock. Empty shards are skipped (no file
-// until the first device lands).
+// persistLocked writes the shard's segment (appendSegment) with
+// atomicWrite. The caller holds the shard lock. Empty shards are skipped
+// (no file until the first device lands).
 func (sh *shard) persistLocked() error {
 	if sh.path == "" || sh.v.NumDevices() == 0 {
 		return nil
 	}
-	tmp := sh.path + ".tmp"
-	f, err := os.Create(tmp)
+	seg, err := appendSegment(nil, sh.v)
+	if err == nil {
+		err = atomicWrite(sh.path, seg, sh.syncWrites)
+	}
 	if err != nil {
-		return fmt.Errorf("authserve: snapshot: %w", err)
-	}
-	if err := sh.v.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("authserve: snapshot: %w", err)
-	}
-	if sh.syncWrites {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("authserve: snapshot fsync: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("authserve: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, sh.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("authserve: snapshot: %w", err)
-	}
-	if sh.syncWrites {
-		if err := syncDir(filepath.Dir(sh.path)); err != nil {
-			return fmt.Errorf("authserve: snapshot dir fsync: %w", err)
-		}
+		return fmt.Errorf("authserve: segment: %w", err)
 	}
 	return nil
 }
 
-// atomicWriteJSON marshals v and writes it with the same temp-file +
-// fsync + rename + directory-fsync discipline as shard snapshots.
-func atomicWriteJSON(path string, v any, sync bool) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
+// atomicWrite replaces path with data: temp file, fsync (if sync),
+// rename, parent-directory fsync (if sync). Under FsyncAlways a crash at
+// any point leaves either the old or the new file durable on disk, never
+// a torn or vanished one — without the file and directory syncs the
+// rename could be reordered after the crash and surface an empty file.
+func atomicWrite(path string, data []byte, sync bool) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = f.Sync()
 	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

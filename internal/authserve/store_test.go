@@ -1,11 +1,13 @@
 package authserve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,7 +121,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 }
 
 // TestCrashRestart simulates a kill -9 between mutations: the store is
-// reopened from its write-through snapshots without SaveAll. No enrolled
+// reopened from its write-ahead logs without SaveAll. No enrolled
 // device may be lost, consumed pairs must stay consumed, and challenges
 // issued before the crash must be rejected afterwards.
 func TestCrashRestart(t *testing.T) {
@@ -160,7 +162,7 @@ func TestCrashRestart(t *testing.T) {
 	}
 
 	// Crash: drop the store on the floor — no SaveAll, no drain. The
-	// write-through snapshots on disk are all that survives.
+	// logs on disk are all that survives.
 	store = nil
 
 	restored, err := Open(opt)
@@ -234,8 +236,11 @@ func TestOpenOptionMismatch(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotRejected pins that Open surfaces a decodable error
-// for a torn or corrupted shard file instead of silently dropping devices.
+// TestCorruptSnapshotRejected pins that Open fails on a damaged shard
+// segment instead of silently dropping devices. A segment is published
+// only once complete, so unlike a log tail it gets no truncation
+// allowance: a half-truncated file and a single flipped payload byte
+// (which breaks its record's CRC) are both corruption.
 func TestCorruptSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	opt := StoreOptions{Shards: 2, Dir: dir}
@@ -252,30 +257,54 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Enrollments land in the WAL; fold it so the snapshots exist.
+	// Enrollments land in the WAL; fold it so the segments exist.
 	if err := store.SaveAll(); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "shard-*.json"))
+	store.Close()
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.seg"))
 	if err != nil || len(files) == 0 {
-		t.Fatalf("no shard snapshots written: %v %v", files, err)
+		t.Fatalf("no shard segments written: %v %v", files, err)
 	}
-	if err := corruptFile(files[0]); err != nil {
+	good, err := os.ReadFile(files[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(opt); err == nil {
-		t.Fatal("corrupted snapshot accepted")
+	halfTruncated := good[:len(good)/2]
+	flipped := bytes.Clone(good)
+	flipped[walHeaderLen+1] ^= 0x01 // first record's device-ID length
+	for name, bad := range map[string][]byte{"half-truncated": halfTruncated, "flipped payload byte": flipped} {
+		if err := os.WriteFile(files[0], bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(opt); err == nil {
+			n := s.NumDevices()
+			s.Close()
+			t.Fatalf("%s segment accepted (%d devices restored)", name, n)
+		}
 	}
 }
 
-// corruptFile truncates a snapshot mid-file, simulating torn bytes from a
-// filesystem that lost the rename's atomicity guarantee.
-func corruptFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// TestOpenRefusesV1DataDir pins that a data directory from the JSON
+// snapshot era (manifest version 1, shard-*.json) fails Open loudly
+// rather than opening empty and losing its devices.
+func TestOpenRefusesV1DataDir(t *testing.T) {
+	dir := t.TempDir()
+	manifest := `{"version": 1, "shards": 2, "tolerance": 0.1}`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return os.WriteFile(path, data[:len(data)/2], 0o644)
+	if err := os.WriteFile(filepath.Join(dir, "shard-0000.json"), []byte(`{"version": 1, "tolerance": 0.1, "devices": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(StoreOptions{Shards: 2, Tolerance: 0.1, Dir: dir})
+	if err == nil {
+		s.Close()
+		t.Fatal("version-1 data dir opened")
+	}
+	if !strings.Contains(err.Error(), "unsupported manifest version 1") {
+		t.Fatalf("Open error = %v, want unsupported manifest version", err)
+	}
 }
 
 // TestEnrollRetryAfterPersistFailure pins the persist-failure bugfix: the
@@ -404,9 +433,9 @@ func TestShardForHighBitIDs(t *testing.T) {
 }
 
 // TestMidCompactionCrashRestart extends the kill -9 durability guarantee
-// into the compaction window: the snapshot has been durably renamed but
+// into the compaction window: the segment has been durably renamed but
 // the WAL not yet truncated, so recovery replays the full log over a
-// snapshot that already contains it. Replay idempotency must converge to
+// segment that already contains it. Replay idempotency must converge to
 // the same state, not double-apply or reject.
 func TestMidCompactionCrashRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -435,14 +464,14 @@ func TestMidCompactionCrashRestart(t *testing.T) {
 		freshBefore[d.ID] = info.Fresh
 	}
 
-	// Crash inside the compaction: snapshot durable, WAL untouched.
+	// Crash inside the compaction: segment durable, WAL untouched.
 	store.testCrashBeforeWALReset = true
 	if err := store.SaveAll(); err != nil {
 		t.Fatal(err)
 	}
-	snaps, _ := filepath.Glob(filepath.Join(dir, "shard-*.json"))
-	if len(snaps) == 0 {
-		t.Fatal("compaction wrote no snapshots")
+	segs, _ := filepath.Glob(filepath.Join(dir, "shard-*.seg"))
+	if len(segs) == 0 {
+		t.Fatal("compaction wrote no segments")
 	}
 	walBytes := int64(0)
 	wals, _ := filepath.Glob(filepath.Join(dir, "shard-*.wal"))
@@ -479,7 +508,7 @@ func TestMidCompactionCrashRestart(t *testing.T) {
 	check(restored, "after mid-compaction crash")
 
 	// Let the restored store finish the interrupted compaction cleanly,
-	// then crash again: snapshot-only recovery must agree too.
+	// then crash again: segment-only recovery must agree too.
 	if err := restored.SaveAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +568,7 @@ func TestWALReplayEquivalence(t *testing.T) {
 		}
 	}
 
-	// Crash the persistent store and recover purely from snapshot-less
+	// Crash the persistent store and recover purely from segment-less
 	// WAL replay (CompactBytes < 0, so nothing was ever folded).
 	restored, err := Open(opt)
 	if err != nil {
@@ -564,6 +593,43 @@ func TestWALReplayEquivalence(t *testing.T) {
 			t.Fatalf("device %s: restored %+v, in-memory twin %+v", d.ID, a, b)
 		}
 	}
+	// Fold the log into segments and recover again: a store restored
+	// from segments alone must equal the log-only store and the twin.
+	if err := persistent.SaveAll(); err != nil {
+		t.Fatal(err)
+	}
+	wals, _ := filepath.Glob(filepath.Join(dir, "shard-*.wal"))
+	for _, w := range wals {
+		if fi, err := os.Stat(w); err != nil || fi.Size() != 0 {
+			t.Fatalf("%s not folded by SaveAll: %v %v", w, fi, err)
+		}
+	}
+	segOnly, err := Open(opt)
+	if err != nil {
+		t.Fatalf("recovering from segments: %v", err)
+	}
+	defer segOnly.Close()
+	if segOnly.NumDevices() != memory.NumDevices() {
+		t.Fatalf("segment-restored %d devices, in-memory twin has %d", segOnly.NumDevices(), memory.NumDevices())
+	}
+	for _, d := range devices {
+		a, err := restored.Device(d.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := memory.Device(d.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := segOnly.Device(d.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Outstanding, b.Outstanding, c.Outstanding = 0, 0, 0
+		if c != a || c != b {
+			t.Fatalf("device %s: segment-restored %+v, log-restored %+v, in-memory twin %+v", d.ID, c, a, b)
+		}
+	}
 	// The replayed consumed-set is exact: draining the restored store
 	// never re-issues a pre-crash pair.
 	for _, d := range devices {
@@ -586,7 +652,7 @@ func TestWALReplayEquivalence(t *testing.T) {
 
 // TestBackgroundCompaction drives the store past the WAL threshold and
 // waits for the background compactor to fold the log: the WAL empties,
-// the snapshot appears, and recovery from the folded state is complete.
+// the segment appears, and recovery from the folded state is complete.
 func TestBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
 	devices, err := fleet.Synthetic(8, 16, 7, 0xAB)
@@ -616,8 +682,8 @@ func TestBackgroundCompaction(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "shard-0000.json")); err != nil {
-		t.Fatalf("no snapshot after compaction: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "shard-0000.seg")); err != nil {
+		t.Fatalf("no segment after compaction: %v", err)
 	}
 	restored, err := Open(opt)
 	if err != nil {

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ropuf/internal/auth"
 )
 
 // Per-shard write-ahead log with group commit. Every mutation (enroll,
@@ -21,13 +23,14 @@ import (
 // writer still gets an immediate commit (the committer is idle, wakes
 // instantly, and finds a batch of one), while N concurrent writers share
 // a single fsync instead of paying N — durable throughput scales with
-// concurrency up to the disk's flush rate. Recovery is snapshot + log
-// replay; a background compactor (compact.go) folds a grown log back
-// into the snapshot.
+// concurrency up to the disk's flush rate. A background compactor
+// (compact.go) folds a grown log into the shard's segment, and recovery
+// replays segment then log through the same scanWAL + replayWAL path.
 //
 // # Wire format
 //
-// A WAL file is a sequence of records, nothing else (no file header):
+// A WAL file — and a segment — is a sequence of records, nothing else
+// (no file header):
 //
 //	offset 0: payload length  uint32 little-endian, in [1, walMaxPayload]
 //	offset 4: payload CRC32-C uint32 little-endian (Castagnoli)
@@ -56,6 +59,16 @@ import (
 // (or a foreign file) beyond what truncation may silently discard, and
 // recovery fails loudly instead of dropping committed state.
 //
+// # Segments
+//
+// A segment (shard-%04d.seg) is a shard's whole state in this framing,
+// written by appendSegment: for each device in DeviceIDs order, one
+// enroll record, then — if it has consumed pairs — one consume record
+// listing all of them, ascending. The bytes are a pure function of the
+// state. Unlike the log, a segment is read strictly (loadSegment): it is
+// only published by rename once completely written, so any invalid
+// record or trailing byte is corruption, never a tear.
+//
 // # Failure model
 //
 // A submit-time failure (test hook, broken latch, or the synchronous
@@ -74,12 +87,12 @@ import (
 // would refuse.
 
 // FsyncPolicy selects how aggressively the store flushes durability
-// writes (WAL appends, snapshot files, and their parent directory).
+// writes (WAL appends, segment files, and their parent directory).
 type FsyncPolicy int
 
 const (
 	// FsyncAlways fsyncs every WAL append (batched by the group
-	// committer) and snapshot write before the mutating call returns: a
+	// committer) and segment write before the mutating call returns: a
 	// kill -9 or power loss never loses an acknowledged mutation. This is
 	// the default and the only policy the durability tests certify.
 	FsyncAlways FsyncPolicy = iota
@@ -226,6 +239,49 @@ func scanWAL(data []byte) (recs []walRecord, valid int64, err error) {
 		recs = append(recs, rec)
 		off += walHeaderLen + plen
 	}
+}
+
+// appendSegment appends v's whole state to dst as a segment (see the
+// Segments section above).
+func appendSegment(dst []byte, v *auth.Verifier) ([]byte, error) {
+	for _, id := range v.DeviceIDs() {
+		rec, err := v.Device(id)
+		if err != nil {
+			return nil, err
+		}
+		enc, err := rec.Enrollment.AppendBinary(nil)
+		if err != nil {
+			return nil, err
+		}
+		payload, err := encodeEnrollRecord(id, enc)
+		if err != nil {
+			return nil, err
+		}
+		dst = appendWALFrame(dst, payload)
+		if used := rec.Consumed(); len(used) > 0 {
+			if payload, err = encodeConsumeRecord(id, used); err != nil {
+				return nil, err
+			}
+			dst = appendWALFrame(dst, payload)
+		}
+	}
+	return dst, nil
+}
+
+// loadSegment replays a shard segment's bytes into v (nil data: no
+// segment yet). A segment is published by rename only after it is
+// completely written (and fsynced under FsyncAlways), so it gets no
+// torn-tail allowance: a record that fails its frame check, or any
+// trailing bytes, is corruption and fails recovery.
+func loadSegment(v *auth.Verifier, data []byte, path string) error {
+	recs, valid, err := scanWAL(data)
+	if err == nil && valid != int64(len(data)) {
+		err = fmt.Errorf("invalid record at byte %d of %d", valid, len(data))
+	}
+	if err != nil {
+		return fmt.Errorf("authserve: segment %s corrupt: %w", path, err)
+	}
+	return replayWAL(v, recs, path)
 }
 
 // walFrame frames a payload with its length + CRC header.
@@ -446,7 +502,7 @@ func (w *wal) appendSync(payload []byte) error {
 // flush is the compaction barrier: it parks until every record submitted
 // before it has a durability verdict (including any batch already in
 // flight when flush is called). Called with the shard lock held, which
-// guarantees no new records can race in behind the barrier. Snapshotting
+// guarantees no new records can race in behind the barrier. Compacting
 // without this barrier could persist in-memory state whose WAL records
 // later fail and roll back — resurrecting a mutation whose caller was
 // told it did not happen.
@@ -577,7 +633,7 @@ func (w *wal) committedSize() int64 {
 }
 
 // reset empties the log after its contents have been folded into a
-// durable snapshot (compaction). The caller holds the shard lock and has
+// durable segment (compaction). The caller holds the shard lock and has
 // already run flush(), so the committer is idle and the queue empty; the
 // truncate is fsynced under the same policy as appends — a crash right
 // after reset must not resurrect the pre-compaction tail lengths.
@@ -630,7 +686,7 @@ func syncDir(dir string) error {
 	return cerr
 }
 
-// walPathFor is the log sibling of a shard snapshot path.
+// walPathFor is the log sibling of a shard segment path.
 func walPathFor(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", shard))
 }

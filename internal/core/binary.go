@@ -131,6 +131,12 @@ func LoadEnrollmentBinary(data []byte) (*Enrollment, error) {
 	if d.err == nil && n > maxBinaryVectors {
 		return nil, fmt.Errorf("core: selection count %d exceeds the binary format limit", n)
 	}
+	// Every selection takes at least 9 bytes (flags + margin): a count
+	// the rest of the input cannot hold is truncation, caught before it
+	// sizes an allocation (up to maxBinaryVectors selections otherwise).
+	if d.err == nil && n > (len(d.data)-d.off)/9 {
+		d.err = errors.New("core: truncated binary enrollment")
+	}
 	if d.err != nil {
 		return nil, d.err
 	}

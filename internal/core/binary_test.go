@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -111,5 +113,25 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	if _, err := LoadEnrollmentBinary(flipped); err == nil ||
 		!strings.Contains(err.Error(), "inconsistent") {
 		t.Errorf("flipped response bit: %v", err)
+	}
+}
+
+// TestLoadEnrollmentBinaryHugeCount pins that a header claiming the
+// maximum selection count over an empty body is rejected before the
+// count sizes an allocation (16M selections would be ~1 GB).
+func TestLoadEnrollmentBinaryHugeCount(t *testing.T) {
+	data := []byte{binaryMagic, binaryVersion, byte(Case2)}
+	data = binary.LittleEndian.AppendUint64(data, 0)
+	data = binary.LittleEndian.AppendUint32(data, maxBinaryVectors)
+	data = binary.LittleEndian.AppendUint16(data, 7)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadEnrollmentBinary(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("huge selection count over an empty body accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a %d-byte input allocated %d bytes", len(data), grew)
 	}
 }
