@@ -82,12 +82,13 @@ bench-smoke:
 fleet-bench:
 	$(GO) test -run xxx -bench 'BenchmarkFleetEnroll' -benchtime 10x .
 
-# Fuzz the shard segment decoder and the shard-corpus decoders against
+# Fuzz the shard segment, binary enrollment and shard-corpus decoders against
 # hostile bytes (CI runs these for short bursts; crashes land under the
 # packages' testdata/fuzz directories).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run FuzzSegment -fuzz FuzzSegment -fuzztime $(FUZZTIME) ./internal/authserve
+	$(GO) test -run FuzzLoadEnrollmentBinary -fuzz FuzzLoadEnrollmentBinary -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run FuzzShardBin -fuzz FuzzShardBin -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run FuzzManifest -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/dataset
 

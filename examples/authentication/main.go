@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prover := &auth.Prover{Enrollment: rec.Enrollment}
+	prover := &auth.Prover{Enrollment: rec.Enrollment()}
 	fresh, _ := verifier.NumFresh("alice")
 	fmt.Printf("enrolled alice: %d PUF pairs available\n\n", fresh)
 
@@ -75,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stolen := &auth.Prover{Enrollment: rec.Enrollment}
+	stolen := &auth.Prover{Enrollment: rec.Enrollment()}
 	malMeas, err := mallory.MeasurePairs(silicon.Nominal)
 	if err != nil {
 		log.Fatal(err)

@@ -26,9 +26,11 @@
 package auth
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	mbits "math/bits"
 	"sort"
 
 	"ropuf/internal/bits"
@@ -49,13 +51,75 @@ var (
 	ErrExhausted = errors.New("not enough fresh pairs")
 )
 
-// DeviceRecord is the verifier's stored state for one enrolled device.
+// DeviceRecord is the verifier's stored state for one enrolled device,
+// kept bit-packed. The per-pair configurations and margins are needed
+// only by the device side (Prover), so the record holds them solely
+// inside the device's canonical binary enrollment; what the verifier
+// reads on every challenge and verify is extracted once into three
+// bitsets of one bit per pair, sharing one allocation.
 type DeviceRecord struct {
 	ID string
-	// Enrollment holds per-pair configurations and reference bits.
-	Enrollment *core.Enrollment
-	// used marks pair indices consumed by past challenges.
-	used []bool
+	// enc is the device's canonical binary enrollment (core.AppendBinary
+	// output). The record owns it: it never aliases a caller's or a
+	// file's buffer, and it is never modified.
+	enc []byte
+	// pairs is the device's pair count; bits its unmasked pair count.
+	pairs, bits int
+	// words holds three len/3-word bitsets, bit i of each for pair i:
+	// the reference bit, the mask (pair usable), and consumed by a past
+	// challenge. Only the consumed set changes after installation.
+	words []uint64
+}
+
+// newRecord builds the record for an enrollment e whose canonical
+// encoding is enc; the record takes ownership of enc.
+func newRecord(id string, enc []byte, e *core.Enrollment) *DeviceRecord {
+	n := len(e.Selections)
+	nw := (n + 63) / 64
+	r := &DeviceRecord{ID: id, enc: enc, pairs: n, bits: e.NumBits(), words: make([]uint64, 3*nw)}
+	ref, mask, _ := r.sets()
+	for i, sel := range e.Selections {
+		if sel.Bit {
+			ref[i>>6] |= 1 << (i & 63)
+		}
+		if e.Mask[i] {
+			mask[i>>6] |= 1 << (i & 63)
+		}
+	}
+	return r
+}
+
+// sets returns the record's reference, mask and consumed bitsets.
+func (r *DeviceRecord) sets() (ref, mask, used []uint64) {
+	nw := len(r.words) / 3
+	return r.words[:nw:nw], r.words[nw : 2*nw : 2*nw], r.words[2*nw:]
+}
+
+// NumPairs returns the device's PUF pair count, masked pairs included.
+func (r *DeviceRecord) NumPairs() int { return r.pairs }
+
+// NumBits returns the number of unmasked pairs — the pairs a challenge
+// can name.
+func (r *DeviceRecord) NumBits() int { return r.bits }
+
+// Binary returns the device's canonical binary enrollment — what a
+// durability layer logs and writes into segments. The slice is the
+// record's own storage: callers must not modify it.
+func (r *DeviceRecord) Binary() []byte { return r.enc }
+
+// Enrollment decodes the device's full enrollment (configurations,
+// margins, mask and reference bits) from the record's bytes. Each call
+// allocates a fresh copy; it is for callers that need the per-pair
+// configurations, such as a Prover, not for the serving path.
+func (r *DeviceRecord) Enrollment() *core.Enrollment {
+	e, err := core.LoadEnrollmentBinary(r.enc)
+	if err != nil {
+		// The bytes were produced by AppendBinary or validated by the
+		// same decoder when the record was installed, and are never
+		// modified afterwards.
+		panic(fmt.Sprintf("auth: device %q: stored enrollment no longer decodes: %v", r.ID, err))
+	}
+	return e
 }
 
 // Challenge names the PUF pairs a device must evaluate, in order.
@@ -110,7 +174,11 @@ func (v *Verifier) Enroll(id string, pairs []core.Pair, mode core.Mode) (*Device
 	if err != nil {
 		return nil, fmt.Errorf("auth: enrolling %q: %w", id, err)
 	}
-	rec := &DeviceRecord{ID: id, Enrollment: enr, used: make([]bool, len(enr.Selections))}
+	enc, err := enr.AppendBinary(nil)
+	if err != nil {
+		return nil, fmt.Errorf("auth: encoding %q: %w", id, err)
+	}
+	rec := newRecord(id, enc, enr)
 	v.devices[id] = rec
 	return rec, nil
 }
@@ -121,26 +189,27 @@ func (v *Verifier) Enroll(id string, pairs []core.Pair, mode core.Mode) (*Device
 // re-running the selection algorithm, and undoing an in-memory mutation
 // whose durability write failed before anything escaped to the network.
 
-// ApplyEnroll installs a pre-built enrollment with no consumed pairs — the
-// replay path for a logged enrollment. Unlike Enroll it never runs the
-// selection algorithm; the enrollment is trusted as stored. It is
+// ApplyEnroll installs a pre-built enrollment, given as its binary
+// encoding (core.AppendBinary), with no consumed pairs — the replay path
+// for a logged enrollment. Unlike Enroll it never runs the selection
+// algorithm. The bytes are validated once by core.LoadEnrollmentBinary,
+// whose canonical-encoding rule makes them the one encoding of their
+// state; the record keeps its own copy, never enc itself. It is
 // idempotent-friendly: re-applying an existing ID fails with
 // ErrDuplicateDevice, which a replayer that may see the same record twice
 // (compacted segment written, log not yet truncated) skips with errors.Is.
-func (v *Verifier) ApplyEnroll(id string, enr *core.Enrollment) error {
+func (v *Verifier) ApplyEnroll(id string, enc []byte) error {
 	if id == "" {
 		return errors.New("auth: empty device ID")
 	}
-	if enr == nil {
-		return fmt.Errorf("auth: device %q: nil enrollment", id)
-	}
-	if len(enr.Mask) != len(enr.Selections) {
-		return fmt.Errorf("auth: device %q: mask length %d != selections %d", id, len(enr.Mask), len(enr.Selections))
+	enr, err := core.LoadEnrollmentBinary(enc)
+	if err != nil {
+		return fmt.Errorf("auth: device %q: %w", id, err)
 	}
 	if _, ok := v.devices[id]; ok {
 		return fmt.Errorf("auth: device %q: %w", id, ErrDuplicateDevice)
 	}
-	v.devices[id] = &DeviceRecord{ID: id, Enrollment: enr, used: make([]bool, len(enr.Selections))}
+	v.devices[id] = newRecord(id, bytes.Clone(enc), enr)
 	return nil
 }
 
@@ -158,19 +227,7 @@ func (v *Verifier) Unenroll(id string) bool {
 // replaying a log over a segment that already contains its effects
 // converges instead of double-counting.
 func (v *Verifier) MarkUsed(id string, pairs []int) error {
-	rec, ok := v.devices[id]
-	if !ok {
-		return fmt.Errorf("auth: %w %q", ErrUnknownDevice, id)
-	}
-	for _, i := range pairs {
-		if i < 0 || i >= len(rec.used) {
-			return fmt.Errorf("auth: device %q: pair index %d outside [0, %d)", id, i, len(rec.used))
-		}
-	}
-	for _, i := range pairs {
-		rec.used[i] = true
-	}
-	return nil
+	return v.setUsed(id, pairs, true)
 }
 
 // UnmarkUsed returns pair indices to the fresh pool — the rollback for a
@@ -178,17 +235,28 @@ func (v *Verifier) MarkUsed(id string, pairs []int) error {
 // challenge never left the process: the pairs were consumed in memory but
 // no bits were exposed, so re-issuing them later leaks nothing.
 func (v *Verifier) UnmarkUsed(id string, pairs []int) error {
+	return v.setUsed(id, pairs, false)
+}
+
+// setUsed sets or clears the consumed bit of every named pair, changing
+// nothing unless all indices are in range.
+func (v *Verifier) setUsed(id string, pairs []int, consumed bool) error {
 	rec, ok := v.devices[id]
 	if !ok {
 		return fmt.Errorf("auth: %w %q", ErrUnknownDevice, id)
 	}
 	for _, i := range pairs {
-		if i < 0 || i >= len(rec.used) {
-			return fmt.Errorf("auth: device %q: pair index %d outside [0, %d)", id, i, len(rec.used))
+		if i < 0 || i >= rec.pairs {
+			return fmt.Errorf("auth: device %q: pair index %d outside [0, %d)", id, i, rec.pairs)
 		}
 	}
+	_, _, used := rec.sets()
 	for _, i := range pairs {
-		rec.used[i] = false
+		if consumed {
+			used[i>>6] |= 1 << (i & 63)
+		} else {
+			used[i>>6] &^= 1 << (i & 63)
+		}
 	}
 	return nil
 }
@@ -197,10 +265,11 @@ func (v *Verifier) UnmarkUsed(id string, pairs []int) error {
 // (nil when none) — what a durability layer writes out to restore the
 // device later with ApplyEnroll plus one MarkUsed.
 func (r *DeviceRecord) Consumed() []int {
+	_, _, used := r.sets()
 	var out []int
-	for i, u := range r.used {
-		if u {
-			out = append(out, i)
+	for w, word := range used {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6+mbits.TrailingZeros64(word))
 		}
 	}
 	return out
@@ -212,11 +281,10 @@ func (v *Verifier) NumFresh(id string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("auth: %w %q", ErrUnknownDevice, id)
 	}
+	_, mask, used := rec.sets()
 	n := 0
-	for i, u := range rec.used {
-		if !u && rec.Enrollment.Mask[i] {
-			n++
-		}
+	for w := range mask {
+		n += mbits.OnesCount64(mask[w] &^ used[w])
 	}
 	return n, nil
 }
@@ -256,10 +324,11 @@ func (v *Verifier) NewChallenge(id string, k int) (*Challenge, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("auth: challenge length %d must be positive", k)
 	}
+	_, mask, used := rec.sets()
 	fresh := v.freshScratch[:0]
-	for i, u := range rec.used {
-		if !u && rec.Enrollment.Mask[i] {
-			fresh = append(fresh, i)
+	for w := range mask {
+		for word := mask[w] &^ used[w]; word != 0; word &= word - 1 {
+			fresh = append(fresh, w<<6+mbits.TrailingZeros64(word))
 		}
 	}
 	v.freshScratch = fresh
@@ -269,7 +338,7 @@ func (v *Verifier) NewChallenge(id string, k int) (*Challenge, error) {
 	v.rng.Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
 	chosen := append([]int(nil), fresh[:k]...)
 	for _, i := range chosen {
-		rec.used[i] = true
+		used[i>>6] |= 1 << (i & 63)
 	}
 	return &Challenge{DeviceID: id, Pairs: chosen}, nil
 }
@@ -282,12 +351,13 @@ func (v *Verifier) referenceBits(ch *Challenge, ref *bits.Stream) error {
 	if !ok {
 		return fmt.Errorf("auth: %w %q", ErrUnknownDevice, ch.DeviceID)
 	}
+	refBits, _, _ := rec.sets()
 	ref.Reset()
 	for _, i := range ch.Pairs {
-		if i < 0 || i >= len(rec.Enrollment.Selections) {
+		if i < 0 || i >= rec.pairs {
 			return fmt.Errorf("auth: challenge pair index %d out of range", i)
 		}
-		ref.Append(rec.Enrollment.Selections[i].Bit)
+		ref.Append(refBits[i>>6]>>(i&63)&1 != 0)
 	}
 	return nil
 }

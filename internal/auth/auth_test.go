@@ -75,7 +75,7 @@ func TestEnrollDuplicate(t *testing.T) {
 
 func TestGenuineDeviceAccepted(t *testing.T) {
 	v, rec, pairs := newTestVerifier(t)
-	prover := &Prover{Enrollment: rec.Enrollment}
+	prover := &Prover{Enrollment: rec.Enrollment()}
 	ch, err := v.NewChallenge("dev0", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestGenuineDeviceAccepted(t *testing.T) {
 func TestImpostorRejected(t *testing.T) {
 	v, rec, _ := newTestVerifier(t)
 	// Impostor: different silicon, same stolen configurations.
-	impostor := &Prover{Enrollment: rec.Enrollment}
+	impostor := &Prover{Enrollment: rec.Enrollment()}
 	otherSilicon := fabPairs(777, 64, 7)
 	ch, err := v.NewChallenge("dev0", 32)
 	if err != nil {
@@ -167,7 +167,7 @@ func TestVerifyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prover := &Prover{Enrollment: rec.Enrollment}
+	prover := &Prover{Enrollment: rec.Enrollment()}
 	resp, err := prover.Respond(ch, pairs)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestVerifyValidation(t *testing.T) {
 
 func TestProverValidation(t *testing.T) {
 	_, rec, pairs := newTestVerifier(t)
-	p := &Prover{Enrollment: rec.Enrollment}
+	p := &Prover{Enrollment: rec.Enrollment()}
 	ch := &Challenge{DeviceID: "dev0", Pairs: []int{0, 1}}
 	if _, err := p.Respond(ch, pairs[:3]); err == nil {
 		t.Fatal("wrong measurement count accepted")
@@ -203,7 +203,7 @@ func TestProverValidation(t *testing.T) {
 
 func TestExactResponseHasZeroDistance(t *testing.T) {
 	v, rec, pairs := newTestVerifier(t)
-	prover := &Prover{Enrollment: rec.Enrollment}
+	prover := &Prover{Enrollment: rec.Enrollment()}
 	ch, err := v.NewChallenge("dev0", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestConsumedRestoresViaMarkUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.ApplyEnroll("dev0", rec.Enrollment); err != nil {
+	if err := restored.ApplyEnroll("dev0", rec.Binary()); err != nil {
 		t.Fatal(err)
 	}
 	if err := restored.MarkUsed("dev0", got); err != nil {

@@ -3,7 +3,11 @@ package authserve
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -142,10 +146,7 @@ func TestLoadSegmentRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enr, err := rec.Enrollment.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enr := rec.Binary()
 	mustPayload := func(p []byte, err error) []byte {
 		t.Helper()
 		if err != nil {
@@ -192,4 +193,156 @@ func TestLoadSegmentRejects(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSegmentGolden pins the bytes of a compacted segment for a fixed
+// shard state: a Case-1 device enrolled at a threshold that masks pairs
+// (one of them degenerate, so it stores no configuration) and spans more
+// than one 64-bit word of pairs, Case-2 devices with consumed pairs, and
+// one never-challenged device. The segment is the store's only
+// persistence format, so a change to how the store keeps devices in
+// memory must leave these bytes exactly as they are.
+func TestSegmentGolden(t *testing.T) {
+	dir := t.TempDir()
+	masked, err := fleet.Synthetic(1, 70, 7, 0x5E6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := masked[0]
+	m.ID = "masked-0"
+	m.Pairs[3].Beta = slices.Clone(m.Pairs[3].Alpha) // degenerate under Case-1
+	probe, err := core.Enroll(m.Pairs, core.Case1, 0, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	margins := make([]float64, 0, len(probe.Selections))
+	for _, sel := range probe.Selections {
+		margins = append(margins, sel.Margin)
+	}
+	slices.Sort(margins)
+	enr, err := core.Enroll(m.Pairs, core.Case1, margins[len(margins)/3], core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enr.Selections[3].X != nil || enr.NumBits() >= len(m.Pairs)-1 {
+		t.Fatalf("masked device keeps %d of %d pairs (pair 3 configured: %v); want a degenerate pair and more masked",
+			enr.NumBits(), len(m.Pairs), enr.Selections[3].X != nil)
+	}
+	enc, err := enr.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := encodeEnrollRecord(m.ID, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The store enrolls at threshold 0, so the masked device enters the
+	// way a replayed log record does.
+	if err := os.WriteFile(walPathFor(dir, 0), walFrame(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(StoreOptions{Dir: dir, Shards: 1, Seed: 0x5E6, CompactBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	devices, err := fleet.Synthetic(3, 8, 5, 0x5E7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range devices {
+		if _, err := s.Enroll(d.ID, d.Pairs, core.Case2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		id string
+		k  int
+	}{{m.ID, 9}, {m.ID, 20}, {devices[0].ID, 3}, {devices[1].ID, 2}, {devices[0].ID, 4}} {
+		if _, _, _, err := s.Challenge(c.id, c.k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SaveAll(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "shard-0000.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "segment_v1.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to generate): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment bytes drifted from %s (%d bytes, want %d); the on-disk format changed", golden, len(got), len(want))
+	}
+}
+
+// TestResidentBytesPerDevice bounds what an enrolled device costs in
+// memory once the store is serving: loading 2,000 devices of 128 pairs ×
+// 13 stages from a segment, as Open does on restart, may grow the live
+// heap by at most 4 KB per device. A bit-packed record (the binary
+// enrollment plus three bitsets) measures about 2 KB; keeping a decoded
+// core.Enrollment per device costs about 14 KB and fails the budget.
+func TestResidentBytesPerDevice(t *testing.T) {
+	const devices, budget = 2000, 4096
+	silicon, err := fleet.Synthetic(16, 128, 13, 0x4E5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg []byte
+	for i := 0; i < devices; i++ {
+		enr, err := core.Enroll(silicon[i%len(silicon)].Pairs, core.Case2, 0, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := enr.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := encodeEnrollRecord(fmt.Sprintf("dev-%05d", i), enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg = appendWALFrame(seg, payload)
+	}
+	path := filepath.Join(t.TempDir(), "shard-0000.seg")
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seg = nil
+	v := segmentVerifier(t)
+	before := liveHeapAfterGC()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loadSegment(v, data, path); err != nil {
+		t.Fatal(err)
+	}
+	data = nil // the verifier must not keep the file buffer alive
+	grew := float64(liveHeapAfterGC()) - float64(before)
+	if v.NumDevices() != devices {
+		t.Fatalf("loaded %d devices, want %d", v.NumDevices(), devices)
+	}
+	runtime.KeepAlive(v)
+	perDevice := grew / devices
+	t.Logf("live heap grew %.0f bytes per device", perDevice)
+	if perDevice > budget {
+		t.Fatalf("live heap grew %.0f bytes per resident device, budget %d", perDevice, budget)
+	}
+}
+
+// liveHeapAfterGC runs a full collection and returns the heap it marked
+// live.
+func liveHeapAfterGC() uint64 {
+	runtime.GC()
+	return heapLiveBytes()
 }

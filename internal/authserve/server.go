@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,14 @@ import (
 	"ropuf/internal/obs/flight"
 	"ropuf/internal/obs/logx"
 )
+
+// heapLiveBytes reads the heap marked live by the most recent GC. Unlike
+// runtime.ReadMemStats it does not stop the world.
+func heapLiveBytes() uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
+}
 
 // maxBodyBytes bounds request bodies. The largest legitimate body is an
 // enrollment (hundreds of pairs × tens of stages × two float vectors);
@@ -166,6 +175,16 @@ func NewServer(store *Store, opt ServerOptions) *Server {
 	reg.NewGaugeFunc("ropuf_authserve_devices",
 		"Devices currently enrolled in the store.",
 		func() float64 { return float64(store.NumDevices()) })
+	reg.NewGaugeFunc("ropuf_authserve_heap_live_bytes_per_device",
+		"Heap marked live by the last GC (runtime/metrics /gc/heap/live:bytes) "+
+			"divided by enrolled devices; 0 while none are enrolled.",
+		func() float64 {
+			n := store.NumDevices()
+			if n == 0 {
+				return 0
+			}
+			return float64(heapLiveBytes()) / float64(n)
+		})
 	reg.NewGaugeFunc("ropuf_authserve_queue_depth",
 		"Requests waiting for an inflight slot.",
 		func() float64 { return float64(s.waiting.Load()) })

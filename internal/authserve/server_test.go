@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -708,6 +710,7 @@ func TestMetricsExposition(t *testing.T) {
 		Response: respond(t, enrs[0], cr.Pairs, devices[0].Pairs)})
 	post(t, c, ts.URL+"/v1/verify", vReq)
 	get(t, c, ts.URL+"/v1/devices/"+devices[0].ID)
+	runtime.GC() // the live-heap reading is 0 until a GC has marked the heap
 
 	code, body := get(t, c, ts.URL+"/metrics")
 	if code != http.StatusOK {
@@ -725,6 +728,17 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// One device: the per-device heap gauge is the whole live heap, so
+	// it must be a positive byte count.
+	const gauge = "\nropuf_authserve_heap_live_bytes_per_device "
+	i := strings.Index(text, gauge)
+	if i < 0 {
+		t.Fatalf("/metrics missing %s", strings.TrimSpace(gauge))
+	}
+	line, _, _ := strings.Cut(text[i+len(gauge):], "\n")
+	if v, err := strconv.ParseFloat(line, 64); err != nil || v <= 0 {
+		t.Errorf("heap live bytes per device = %q, want a positive number", line)
 	}
 }
 

@@ -389,11 +389,7 @@ func replayWAL(v *auth.Verifier, recs []walRecord, path string) error {
 	for n, rec := range recs {
 		switch rec.typ {
 		case walRecEnroll:
-			enr, err := core.LoadEnrollmentBinary(rec.enr)
-			if err != nil {
-				return fmt.Errorf("authserve: %s record %d (enroll %q): %w", path, n, rec.id, err)
-			}
-			if err := v.ApplyEnroll(rec.id, enr); err != nil && !errors.Is(err, auth.ErrDuplicateDevice) {
+			if err := v.ApplyEnroll(rec.id, rec.enr); err != nil && !errors.Is(err, auth.ErrDuplicateDevice) {
 				return fmt.Errorf("authserve: %s record %d: %w", path, n, err)
 			}
 		case walRecConsume:
@@ -544,11 +540,7 @@ func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo
 	var pend *walPending
 	payloadLen := 0
 	if sh.wal != nil {
-		enc, err := rec.Enrollment.AppendBinary(nil)
-		var payload []byte
-		if err == nil {
-			payload, err = encodeEnrollRecord(id, enc)
-		}
+		payload, err := encodeEnrollRecord(id, rec.Binary())
 		if err == nil {
 			pend, err = s.submitLocked(sh, payload)
 			payloadLen = len(payload)
@@ -564,8 +556,8 @@ func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo
 	fresh, _ := sh.v.NumFresh(id)
 	info := DeviceInfo{
 		ID:    id,
-		Pairs: len(rec.Enrollment.Selections),
-		Bits:  rec.Enrollment.NumBits(),
+		Pairs: rec.NumPairs(),
+		Bits:  rec.NumBits(),
 		Fresh: fresh,
 	}
 	sh.mu.Unlock()
@@ -720,8 +712,8 @@ func (s *Store) Device(id string) (DeviceInfo, error) {
 	}
 	return DeviceInfo{
 		ID:          id,
-		Pairs:       len(rec.Enrollment.Selections),
-		Bits:        rec.Enrollment.NumBits(),
+		Pairs:       rec.NumPairs(),
+		Bits:        rec.NumBits(),
 		Fresh:       fresh,
 		Outstanding: out,
 	}, nil

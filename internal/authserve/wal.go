@@ -249,11 +249,7 @@ func appendSegment(dst []byte, v *auth.Verifier) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		enc, err := rec.Enrollment.AppendBinary(nil)
-		if err != nil {
-			return nil, err
-		}
-		payload, err := encodeEnrollRecord(id, enc)
+		payload, err := encodeEnrollRecord(id, rec.Binary())
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ropuf/internal/bits"
 	"ropuf/internal/circuit"
@@ -29,6 +30,12 @@ import (
 // Both decoders funnel through the same semantic validation
 // (validateEnrollment), so a binary record admits exactly the states the
 // JSON loader admits.
+//
+// The decoder is canonical: it rejects set padding bits in any packed
+// vector and flag bits other than bit0/bit1, so every accepted input b
+// satisfies AppendBinary(LoadEnrollmentBinary(b)) == b: the bytes are the
+// one encoding of their state and can be kept or compared in place of the
+// decoded form.
 
 const (
 	binaryMagic   = 0xE5 // first byte; JSON starts with '{', so misrouted payloads fail fast
@@ -42,11 +49,12 @@ const (
 // AppendBinary appends the binary encoding of e to dst and returns the
 // extended slice.
 func (e *Enrollment) AppendBinary(dst []byte) ([]byte, error) {
-	stages := 0
+	stages, configured := 0, 0
 	for i, sel := range e.Selections {
 		if sel.X == nil {
 			continue
 		}
+		configured++
 		if len(sel.X) != len(sel.Y) {
 			return nil, fmt.Errorf("core: selection %d config lengths differ (%d vs %d)", i, len(sel.X), len(sel.Y))
 		}
@@ -66,6 +74,18 @@ func (e *Enrollment) AppendBinary(dst []byte) ([]byte, error) {
 	case stages == 0 && hasAnyConfig(e.Selections):
 		return nil, errors.New("core: zero-length ring configuration")
 	}
+
+	respLen := 0
+	if e.Response != nil {
+		respLen = e.Response.Len()
+	}
+	if respLen > maxBinaryVectors {
+		return nil, fmt.Errorf("core: %d response bits exceed the binary format limit", respLen)
+	}
+	// Size the output exactly: header, mask, flags and margin per
+	// selection, two configurations per configured one, response.
+	n := len(e.Selections)
+	dst = slices.Grow(dst, 17+(n+7)/8+9*n+2*configured*((stages+7)/8)+4+(respLen+7)/8)
 
 	var scratch [8]byte
 	dst = append(dst, binaryMagic, binaryVersion, byte(e.Mode))
@@ -91,13 +111,6 @@ func (e *Enrollment) AppendBinary(dst []byte) ([]byte, error) {
 			dst = appendPackedBools(dst, sel.X)
 			dst = appendPackedBools(dst, sel.Y)
 		}
-	}
-	respLen := 0
-	if e.Response != nil {
-		respLen = e.Response.Len()
-	}
-	if respLen > maxBinaryVectors {
-		return nil, fmt.Errorf("core: %d response bits exceed the binary format limit", respLen)
 	}
 	binary.LittleEndian.PutUint32(scratch[:4], uint32(respLen))
 	dst = append(dst, scratch[:4]...)
@@ -148,6 +161,9 @@ func LoadEnrollmentBinary(data []byte) (*Enrollment, error) {
 	}
 	for i := 0; i < n && d.err == nil; i++ {
 		flags := d.byte()
+		if flags&^3 != 0 {
+			return nil, fmt.Errorf("core: selection %d has unknown flag bits %#x", i, flags&^3)
+		}
 		sel := Selection{
 			Margin: math.Float64frombits(d.u64()),
 			Bit:    flags&2 != 0,
@@ -168,7 +184,7 @@ func LoadEnrollmentBinary(data []byte) (*Enrollment, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	packed := d.bytes((respLen + 7) / 8)
+	packed := d.packed(respLen)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -267,8 +283,18 @@ func (d *binCursor) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (d *binCursor) packedBools(n int) []bool {
+// packed reads an n-bit LSB-first vector, ceil(n/8) bytes, whose unused
+// high bits in the last byte must be zero (the canonical-encoding rule).
+func (d *binCursor) packed(n int) []byte {
 	packed := d.bytes((n + 7) / 8)
+	if d.err == nil && n&7 != 0 && packed[len(packed)-1]>>(n&7) != 0 {
+		d.err = errors.New("core: non-zero padding bits in binary enrollment")
+	}
+	return packed
+}
+
+func (d *binCursor) packedBools(n int) []bool {
+	packed := d.packed(n)
 	if d.err != nil {
 		return nil
 	}

@@ -5,13 +5,14 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
 
 // binaryTestPairs fabricates deterministic per-stage delay vectors; the
 // fleet package can't be used here (it imports core).
-func binaryTestPairs(t *testing.T, n, stages int, seed int64) []Pair {
+func binaryTestPairs(t testing.TB, n, stages int, seed int64) []Pair {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pairs := make([]Pair, n)
@@ -134,4 +135,97 @@ func TestLoadEnrollmentBinaryHugeCount(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("rejecting a %d-byte input allocated %d bytes", len(data), grew)
 	}
+}
+
+// canonicalTestEnrollment encodes a 13-pair, 13-stage Case-2 enrollment
+// at a threshold that masks some pairs, so the mask, every configuration
+// and the response all end in a partly used byte, and returns the bytes
+// with the offset of the first selection's flags byte.
+func canonicalTestEnrollment(t testing.TB) (data []byte, firstSel int) {
+	pairs := binaryTestPairs(t, 13, 13, 0xB3)
+	probe, err := Enroll(pairs, Case2, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	margins := make([]float64, 0, len(probe.Selections))
+	for _, sel := range probe.Selections {
+		margins = append(margins, sel.Margin)
+	}
+	sort.Float64s(margins)
+	enr, err := Enroll(pairs, Case2, margins[3], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enr.NumBits()%8 == 0 || !enr.Mask[0] {
+		t.Fatalf("fixture keeps %d bits (pair 0 kept: %v); want a partial response byte and pair 0 configured",
+			enr.NumBits(), enr.Mask[0])
+	}
+	data, err = enr.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, 17 + 2 // header, then a 2-byte mask
+}
+
+// TestBinaryRejectsNonCanonical mutates one unused bit per canonical-
+// encoding rule. Each mutation leaves the decoded state unchanged, so a
+// decoder that ignored it would accept bytes that re-encode differently.
+func TestBinaryRejectsNonCanonical(t *testing.T) {
+	valid, sel := canonicalTestEnrollment(t)
+	x := sel + 1 + 8 // flags, margin, then x (2 bytes) and y (2 bytes)
+	cases := []struct {
+		name string
+		off  int
+		bit  byte
+	}{
+		{"mask padding", 18, 0x80},
+		{"config x padding", x + 1, 0x20},
+		{"config y padding", x + 3, 0x80},
+		{"response padding", len(valid) - 1, 0x80},
+		{"unknown flag bit", sel, 0x04},
+		{"high flag bit", sel, 0x80},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data := bytes.Clone(valid)
+			if data[c.off]&c.bit != 0 {
+				t.Fatalf("byte %d bit %#x already set in the valid encoding", c.off, c.bit)
+			}
+			data[c.off] |= c.bit
+			if _, err := LoadEnrollmentBinary(data); err == nil {
+				t.Fatal("non-canonical encoding accepted")
+			}
+		})
+	}
+	got, err := LoadEnrollmentBinary(valid)
+	if err != nil {
+		t.Fatalf("valid encoding rejected: %v", err)
+	}
+	again, err := got.AppendBinary(nil)
+	if err != nil || !bytes.Equal(again, valid) {
+		t.Fatalf("valid encoding does not round-trip byte-identically (err %v)", err)
+	}
+}
+
+// FuzzLoadEnrollmentBinary feeds arbitrary bytes to the binary decoder.
+// It must never panic, and every accepted input must re-encode to exactly
+// the same bytes — the decoder is canonical. The committed corpus
+// (testdata/fuzz/FuzzLoadEnrollmentBinary) holds valid encodings with and
+// without masked pairs and single-bit padding and flag mutations of them.
+func FuzzLoadEnrollmentBinary(f *testing.F) {
+	valid, _ := canonicalTestEnrollment(f)
+	f.Add(valid)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := LoadEnrollmentBinary(data)
+		if err != nil {
+			return
+		}
+		again, err := e.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("re-encoding accepted input: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), len(again))
+		}
+	})
 }
