@@ -27,12 +27,29 @@ func fuzzSeedRecord(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var framed []byte
+	return frameRecord(body)
+}
+
+// frameRecord wraps a record body in its length + CRC32-C frame.
+func frameRecord(body []byte) []byte {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, castagnoli))
-	framed = append(framed, hdr[:]...)
-	return append(framed, body...)
+	return append(hdr[:], body...)
+}
+
+// oversizedClaimRecord is a CRC-valid 30-byte record whose header claims
+// the format's limits, maxShardROs ROs under maxShardConds conditions: a
+// decoder that sizes its buffers from the claim before checking the body
+// length allocates tens of megabytes for it.
+func oversizedClaimRecord() []byte {
+	body := make([]byte, 30)
+	binary.LittleEndian.PutUint32(body[0:4], 1)               // id
+	binary.LittleEndian.PutUint16(body[4:6], 1024)            // gridW
+	binary.LittleEndian.PutUint16(body[6:8], 1024)            // gridH
+	binary.LittleEndian.PutUint32(body[8:12], maxShardROs)    // numROs
+	binary.LittleEndian.PutUint16(body[12:14], maxShardConds) // numConds
+	return frameRecord(body)
 }
 
 // FuzzShardBin feeds arbitrary bytes to the framed-record decoder the way
@@ -53,6 +70,7 @@ func FuzzShardBin(f *testing.F) {
 	bad := append([]byte{}, seed...)
 	bad[len(bad)-1] ^= 0xFF
 	f.Add(bad)
+	f.Add(oversizedClaimRecord())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bytes.NewReader(data)
 		var buf []byte

@@ -179,6 +179,7 @@ type ShardWriter struct {
 	shards []*shardFile
 	next   int
 	closed bool
+	body   []byte // reused binary record body
 }
 
 // NewShardWriter creates dir (if needed) and opens shards shard files of
@@ -245,7 +246,7 @@ func (w *ShardWriter) WriteBoard(b *Board) error {
 			err = s.cw.Error()
 		}
 	case FormatBin:
-		rows, err = writeBinBoard(s.bw, b)
+		rows, err = writeBinBoard(s.bw, b, &w.body)
 	}
 	if err != nil {
 		return err
@@ -319,11 +320,13 @@ func (w *ShardWriter) Close() (*Manifest, error) {
 }
 
 // writeBinBoard frames one board record into bw and returns its row count.
-func writeBinBoard(bw *bufio.Writer, b *Board) (int64, error) {
-	body, err := appendBinBoard(nil, b)
+// The body is encoded into *buf, which is reused across boards.
+func writeBinBoard(bw *bufio.Writer, b *Board, buf *[]byte) (int64, error) {
+	body, err := appendBinBoard((*buf)[:0], b)
 	if err != nil {
 		return 0, err
 	}
+	*buf = body
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, castagnoli))
@@ -613,92 +616,63 @@ func readBinBoard(br io.Reader, buf *[]byte) (*Board, int64, error) {
 	if got := crc32.Checksum(body, castagnoli); got != wantCRC {
 		return nil, 0, fmt.Errorf("record checksum %08x, frame says %08x", got, wantCRC)
 	}
-	d := binDecoder{data: body}
-	id := d.u32()
-	gridW, gridH := int(d.u16()), int(d.u16())
-	n := int(d.u32())
-	nConds := int(d.u16())
-	if d.err == nil && n > maxShardROs {
+	if len(body) < binHeaderSize {
+		return nil, 0, errors.New("truncated board record")
+	}
+	le := binary.LittleEndian
+	n := int(le.Uint32(body[8:12]))
+	nConds := int(le.Uint16(body[12:14]))
+	if n > maxShardROs {
 		return nil, 0, fmt.Errorf("record claims %d ROs, limit %d", n, maxShardROs)
 	}
-	if d.err == nil && nConds > maxShardConds {
+	if nConds > maxShardConds {
 		return nil, 0, fmt.Errorf("record claims %d conditions, limit %d", nConds, maxShardConds)
 	}
-	if d.err != nil {
-		return nil, 0, d.err
+	// The counts fix the body size exactly; check it before allocating
+	// anything they size, so a short hostile record cannot claim megabytes.
+	if want := binBodySize(n, nConds); int64(len(body)) != want {
+		return nil, 0, fmt.Errorf("record body is %d bytes, %d ROs × %d conditions need %d", len(body), n, nConds, want)
 	}
+	xy := make([]int, 2*n)
+	freqs := make([]float64, nConds*n)
 	b := &Board{
-		ID:    int(id),
-		GridW: gridW,
-		GridH: gridH,
-		X:     make([]int, n),
-		Y:     make([]int, n),
+		ID:    int(le.Uint32(body[0:4])),
+		GridW: int(le.Uint16(body[4:6])),
+		GridH: int(le.Uint16(body[6:8])),
+		X:     xy[:n:n],
+		Y:     xy[n:],
 		Freq:  make(map[Condition][]float64, nConds),
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		b.X[i] = int(d.u16())
-		b.Y[i] = int(d.u16())
+	p := body[binHeaderSize:]
+	for i := 0; i < n; i++ {
+		b.X[i] = int(le.Uint16(p[4*i:]))
+		b.Y[i] = int(le.Uint16(p[4*i+2:]))
 	}
-	for ci := 0; ci < nConds && d.err == nil; ci++ {
-		cond := Condition{MilliVolts: int(int32(d.u32())), DeciCelsius: int(int32(d.u32()))}
+	p = p[4*n:]
+	for ci := 0; ci < nConds; ci++ {
+		cond := Condition{MilliVolts: int(int32(le.Uint32(p[0:4]))), DeciCelsius: int(int32(le.Uint32(p[4:8])))}
 		if _, dup := b.Freq[cond]; dup {
 			return nil, 0, fmt.Errorf("record repeats condition %v", cond)
 		}
-		f := make([]float64, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			f[i] = math.Float64frombits(d.u64())
+		f := freqs[ci*n : (ci+1)*n : (ci+1)*n]
+		for i := range f {
+			f[i] = math.Float64frombits(le.Uint64(p[8+8*i:]))
 		}
 		b.Freq[cond] = f
-	}
-	if d.err != nil {
-		return nil, 0, d.err
-	}
-	if d.off != len(d.data) {
-		return nil, 0, fmt.Errorf("%d trailing bytes in board record", len(d.data)-d.off)
+		p = p[8+8*n:]
 	}
 	return b, int64(nConds) * int64(n), nil
 }
 
-// binDecoder is a bounds-checked little-endian body reader: the first
-// out-of-range read latches err and later reads return zeros.
-type binDecoder struct {
-	data []byte
-	off  int
-	err  error
-}
+// binHeaderSize is the fixed part of a board record body: id, gridW,
+// gridH, numROs, numConds.
+const binHeaderSize = 14
 
-func (d *binDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.data) {
-		d.err = errors.New("truncated board record")
-		return nil
-	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *binDecoder) u16() uint16 {
-	if b := d.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-func (d *binDecoder) u32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (d *binDecoder) u64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
+// binBodySize is the exact body length of a board record with n ROs and
+// nConds conditions: the fixed header, 4 bytes of position per RO, and per
+// condition an 8-byte key plus 8 bytes per RO.
+func binBodySize(n, nConds int) int64 {
+	return binHeaderSize + 4*int64(n) + int64(nConds)*(8+8*int64(n))
 }
 
 // csvCursor streams WriteCSV-format rows, grouping consecutive rows of one

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -347,4 +348,46 @@ func TestShardReaderHostileFiles(t *testing.T) {
 			})
 		}
 	}
+
+	// A CRC-valid record claiming the format's RO and condition limits in
+	// a 30-byte body, with the manifest's byte count updated to match so
+	// the decoder (not OpenShards) meets it: rejected on the body-size
+	// check before anything the claim sizes is allocated.
+	t.Run("bin/oversized claim allocates nothing", func(t *testing.T) {
+		dir, _ := writeCorpus(t, ds, 2, FormatBin)
+		rec := append([]byte(shardMagic), oversizedClaimRecord()...)
+		if err := os.WriteFile(filepath.Join(dir, "shard-0001.bin"), rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, ManifestName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m Manifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		m.Files[1].Bytes = int64(len(rec))
+		if data, err = json.Marshal(&m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenShards(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err = r.Boards(func(*Board) error { return nil })
+		runtime.ReadMemStats(&m1)
+		if err == nil || !strings.Contains(err.Error(), "record body is 30 bytes") {
+			t.Fatalf("oversized claim: error %v, want the body-size rejection", err)
+		}
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("rejecting the oversized claim allocated %d bytes, want < 1 MiB", alloc)
+		}
+	})
 }

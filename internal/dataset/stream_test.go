@@ -3,11 +3,14 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -219,5 +222,73 @@ func TestStreamVTGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("golden length mismatch: got %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// defaultCorpusSHA256 is the SHA-256 of the default VT corpus written as
+// CSV (`datasetgen -out vt.csv`). FormatFloat's shortest round-trip form
+// means every frequency bit of every board under every condition counts.
+const defaultCorpusSHA256 = "8d1dbfde62f54a43db5b281690dbe867f18c6479879afe78636dee7a3a79ccbc"
+
+// TestVTDefaultCorpusDigest pins the whole paper-scale corpus bit for bit:
+// all 199 boards, the nominal reads and the environment boards' eight
+// off-nominal sweeps, which stream_v1.golden (the first rows of board 0)
+// does not reach.
+func TestVTDefaultCorpusDigest(t *testing.T) {
+	h := sha256.New()
+	w, err := NewCSVWriter(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := StreamVT(DefaultVTConfig(), w.WriteBoard); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != defaultCorpusSHA256 {
+		t.Fatalf("default corpus CSV SHA-256 %s, want %s", got, defaultCorpusSHA256)
+	}
+}
+
+// TestVTBoardAllocBudget gates the heap bytes allocated per board on the
+// corpus path: the default 199-board corpus streamed by two workers into
+// four bin shards, then read back, in steady state (after one warm-up
+// corpus). Fabrication, measurement, encoding and decoding all count.
+func TestVTBoardAllocBudget(t *testing.T) {
+	const budget = 56 << 10
+	cfg := DefaultVTConfig()
+	corpus := func(dir string) {
+		w, err := NewShardWriter(dir, 4, FormatBin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := StreamVTParallel(context.Background(), cfg, 2, w.WriteBoard); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenShards(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		if err := r.Boards(func(*Board) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if n != cfg.NumBoards {
+			t.Fatalf("read back %d boards, wrote %d", n, cfg.NumBoards)
+		}
+	}
+	corpus(filepath.Join(t.TempDir(), "warm"))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	corpus(filepath.Join(t.TempDir(), "measured"))
+	runtime.ReadMemStats(&m1)
+	perBoard := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(cfg.NumBoards)
+	t.Logf("%.0f heap bytes allocated per board (budget %d)", perBoard, budget)
+	if perBoard > budget {
+		t.Fatalf("corpus path allocates %.0f bytes per board, budget %d", perBoard, budget)
 	}
 }

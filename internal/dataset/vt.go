@@ -91,26 +91,14 @@ func GenerateVT(cfg VTConfig) (*Dataset, error) {
 }
 
 // generateVTBoard fabricates one die and measures it under its conditions
-// with the board-major batch meter (one pinned env table and one noise
-// NormFill per condition; bm's scratch is reused across boards). The
-// result is bit-identical to the historical per-device loop.
+// with the board-major batch meter (one table-free delay pass and one noise
+// NormFill per condition; bm's scratch is reused across boards). X and Y
+// share one backing array, and so do all the board's frequency vectors.
+// The result is bit-identical to the historical per-device loop.
 func generateVTBoard(cfg VTConfig, id int, env bool, rng *rngx.RNG, bm *measure.BoardMeter) (*Board, error) {
 	die, err := silicon.NewDie(cfg.Process, cfg.GridW, cfg.GridH, rng)
 	if err != nil {
 		return nil, err
-	}
-	n := die.NumDevices()
-	b := &Board{
-		ID:    id,
-		GridW: cfg.GridW,
-		GridH: cfg.GridH,
-		X:     make([]int, n),
-		Y:     make([]int, n),
-		Freq:  make(map[Condition][]float64),
-	}
-	for i := 0; i < n; i++ {
-		dev := die.Device(i)
-		b.X[i], b.Y[i] = dev.X, dev.Y
 	}
 	conds := []Condition{NominalCondition}
 	if env {
@@ -122,9 +110,24 @@ func generateVTBoard(cfg VTConfig, id int, env bool, rng *rngx.RNG, bm *measure.
 			}
 		}
 	}
+	n := die.NumDevices()
+	xy := make([]int, 2*n)
+	freqs := make([]float64, len(conds)*n)
+	b := &Board{
+		ID:    id,
+		GridW: cfg.GridW,
+		GridH: cfg.GridH,
+		X:     xy[:n:n],
+		Y:     xy[n:],
+		Freq:  make(map[Condition][]float64, len(conds)),
+	}
+	for i := 0; i < n; i++ {
+		dev := die.Device(i)
+		b.X[i], b.Y[i] = dev.X, dev.Y
+	}
 	mrng := rng.Split() // measurement-noise stream, separate from fabrication
-	for _, c := range conds {
-		f, err := bm.MeasureInto(make([]float64, n), die, c.Env(), mrng)
+	for ci, c := range conds {
+		f, err := bm.MeasureInto(freqs[ci*n:(ci+1)*n:(ci+1)*n], die, c.Env(), mrng)
 		if err != nil {
 			return nil, err
 		}

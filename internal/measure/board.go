@@ -14,29 +14,29 @@ import (
 //
 // The point of the batch API is the cost model. One MeasureInto call
 //
-//   - pins a single cached silicon environment table for the die
-//     (silicon.Die.DelaysIntoPS) — the alpha-power-law factors are paid
-//     once per (die, environment), not once per device;
+//   - evaluates the die's delays with one table-free factor-kernel pass
+//     (silicon.Die.DelaysIntoPS): no math.Pow call at the nominal
+//     environment, two per device off nominal, and no env table built for
+//     a die that is read once per environment;
 //   - draws the whole board's measurement noise with one rngx.NormFill —
 //     one batched call per board instead of one Norm call per device;
-//   - writes into caller-provided flat board-major scratch and reuses its
-//     own delay/noise buffers, so the warm path performs zero per-device
+//   - computes the delays in place in the caller-provided flat board-major
+//     dst and reuses its own noise buffer, so the warm path performs zero
 //     allocations (pinned by TestBoardMeterAllocs).
 //
 // Results are bit-identical to the per-device loop it replaces
 // (freq_i = 1e6/(2·DelayPS(i,env)) + NormMeanStd(0, NoiseMHz), devices in
 // index order): NormFill is stream-identical to sequential NormMeanStd
-// calls and a table hit is bit-identical to the direct factor computation.
+// calls and DelaysIntoPS is bit-identical to DelayPS.
 //
-// A BoardMeter owns scratch buffers and is not safe for concurrent use;
-// give each goroutine its own (they may share one die — the underlying
-// env-table cache is concurrency-safe, which is what makes board-parallel
-// measurement against one pinned table work).
+// A BoardMeter owns a scratch buffer and is not safe for concurrent use;
+// give each goroutine its own (they may share one die: DelaysIntoPS only
+// reads it).
 type BoardMeter struct {
 	// NoiseMHz is the standard deviation of one frequency reading's error.
 	NoiseMHz float64
 
-	delays, noise []float64
+	noise []float64
 }
 
 // NewBoardMeter returns a BoardMeter with the given per-reading frequency
@@ -57,16 +57,15 @@ func (bm *BoardMeter) MeasureInto(dst []float64, die *silicon.Die, env silicon.E
 	if len(dst) != n {
 		return nil, fmt.Errorf("measure: board buffer has %d entries, die has %d devices", len(dst), n)
 	}
-	if cap(bm.delays) < n {
-		bm.delays = make([]float64, n)
+	if cap(bm.noise) < n {
 		bm.noise = make([]float64, n)
 	}
-	delays, noise := bm.delays[:n], bm.noise[:n]
-	if _, err := die.DelaysIntoPS(delays, env); err != nil {
+	noise := bm.noise[:n]
+	if _, err := die.DelaysIntoPS(dst, env); err != nil {
 		return nil, err
 	}
 	rng.NormFill(noise, 0, bm.NoiseMHz)
-	for i, d := range delays {
+	for i, d := range dst {
 		// Base is a half-period: period = 2·delay, frequency in MHz.
 		dst[i] = 1e6/(2*d) + noise[i]
 	}

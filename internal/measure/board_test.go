@@ -75,7 +75,7 @@ func TestBoardMeterAllocs(t *testing.T) {
 	dst := make([]float64, die.NumDevices())
 	env := silicon.Env{V: 1.08, T: 45}
 	if _, err := bm.MeasureInto(dst, die, env, rng); err != nil {
-		t.Fatal(err) // warm-up: grows scratch, pins the env table
+		t.Fatal(err) // warm-up: grows the noise scratch
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := bm.MeasureInto(dst, die, env, rng); err != nil {
@@ -88,9 +88,9 @@ func TestBoardMeterAllocs(t *testing.T) {
 }
 
 // TestBoardMeterConcurrentSharedDie drives several per-goroutine meters
-// against one shared die and environment set (run under -race): the die's
-// env-table cache is the only shared state, and every goroutine must still
-// read bit-identical physics.
+// against one shared die and environment set (run under -race): the die is
+// the only shared state, and every goroutine must still read bit-identical
+// physics.
 func TestBoardMeterConcurrentSharedDie(t *testing.T) {
 	die := boardTestDie(t, 8, 8, 0xCC)
 	const noise = 0.02
@@ -131,9 +131,8 @@ func TestBoardMeterConcurrentSharedDie(t *testing.T) {
 }
 
 // TestBoardMeterSeesVthMutation mutates one device between measurements of
-// the same environment: the pinned env table is now stale for that device
-// and the meter must fall back to fresh physics rather than serve the
-// cached factor.
+// the same environment: the meter reads live Vth, so the mutated device
+// must read fresh physics and every other device must read as before.
 func TestBoardMeterSeesVthMutation(t *testing.T) {
 	die := boardTestDie(t, 4, 4, 9)
 	bm := NewBoardMeter(0) // deterministic: isolate the physics

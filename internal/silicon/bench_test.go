@@ -45,8 +45,8 @@ func BenchmarkAgedDelayPS(b *testing.B) {
 }
 
 // BenchmarkEnvFactorUncached prices one whole-die environment-factor sweep
-// computed from scratch: four math.Pow calls per device, the per-evaluation
-// cost the delay-table cache eliminates.
+// computed from scratch per device: a factor kernel per call, two math.Pow
+// calls per device off nominal.
 func BenchmarkEnvFactorUncached(b *testing.B) {
 	d, err := NewDie(DefaultParams(), 16, 16, rngx.New(3))
 	if err != nil {
@@ -65,21 +65,21 @@ func BenchmarkEnvFactorUncached(b *testing.B) {
 }
 
 // BenchmarkEnvFactorCached prices the same whole-die sweep through the
-// cached delay table (built once, then a slice read per device).
+// cached factor table (built once, then a slice read and a multiply per
+// device) — the circuit paths' cost model.
 func BenchmarkEnvFactorCached(b *testing.B) {
 	d, err := NewDie(DefaultParams(), 16, 16, rngx.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}
 	env := Env{V: 1.08, T: 45}
-	d.DelaysPS(env) // build outside the timed region
+	d.EnvFactors(env) // build outside the timed region
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		delays := d.DelaysPS(env)
-		for _, v := range delays {
-			sink += v
+		for j, f := range d.EnvFactors(env) {
+			sink += d.Devices[j].Base * f
 		}
 	}
 	benchSink = sink

@@ -42,28 +42,31 @@ func TestDelaysIntoPSValidatesLength(t *testing.T) {
 
 func TestDelaysIntoPSAllocFree(t *testing.T) {
 	die := delaysTestDie(t)
-	env := Env{V: 1.08, T: 45}
 	dst := make([]float64, die.NumDevices())
-	if _, err := die.DelaysIntoPS(dst, env); err != nil {
-		t.Fatal(err) // pins the env table
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := die.DelaysIntoPS(dst, env); err != nil {
-			t.Fatal(err)
+	for _, env := range []Env{Nominal, {V: 1.08, T: 45}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := die.DelaysIntoPS(dst, env); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("env %+v: DelaysIntoPS allocates %.1f times, want 0", env, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm DelaysIntoPS allocates %.1f times, want 0", allocs)
+	}
+	if die.current.Load() != nil {
+		t.Fatal("DelaysIntoPS built an env table")
 	}
 }
 
-// TestDelaysIntoPSStaleVthFallsBack mutates one device after the env table
-// is pinned: the batch read must recompute that device from its live Vth
-// (bit-identical to the scalar accessor, which shares the staleness rule)
-// while still serving the others from the table.
+// TestDelaysIntoPSStaleVthFallsBack mutates one device between two reads of
+// the same environment: DelaysIntoPS is table-free, so the second read must
+// see the live Vth (bit-identical to a fresh direct computation) and leave
+// every other device unchanged — even when a cached table for that
+// environment, built before the mutation, is current.
 func TestDelaysIntoPSStaleVthFallsBack(t *testing.T) {
 	die := delaysTestDie(t)
 	env := Env{V: 0.98, T: 25}
+	die.EnvFactors(env) // a table pinned before the mutation
 	before := make([]float64, die.NumDevices())
 	if _, err := die.DelaysIntoPS(before, env); err != nil {
 		t.Fatal(err)
@@ -75,7 +78,7 @@ func TestDelaysIntoPSStaleVthFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after[victim] == before[victim] {
-		t.Fatal("stale cached delay served for the mutated device")
+		t.Fatal("stale delay served for the mutated device")
 	}
 	if want := die.DelayAtUncachedPS(*die.Device(victim), env); after[victim] != want {
 		t.Fatalf("mutated device batch delay %x != fresh %x", after[victim], want)

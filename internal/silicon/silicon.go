@@ -21,6 +21,7 @@ package silicon
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -135,16 +136,15 @@ func (s surface) at(u, v float64) float64 {
 }
 
 // envTable is an immutable per-environment snapshot of every device's
-// environment factor (delay(env)/delay(nominal)) and resulting delay. One
-// table costs O(NumDevices) math.Pow calls to build; once built, any number
-// of delay queries under that environment are a multiply each.
+// environment factor (delay(env)/delay(nominal)). One table costs one
+// factor-kernel pass over the die to build; once built, any number of
+// delay queries under that environment are a multiply each.
 type envTable struct {
 	env Env
 	// vth pins the threshold voltages the factors were computed from, so
 	// lookups can detect a stale entry if a caller mutated Devices.
 	vth     []float64
 	factors []float64
-	delays  []float64
 }
 
 // maxEnvTables bounds the per-die table store. A V/T sweep visits a few
@@ -154,8 +154,8 @@ type envTable struct {
 const maxEnvTables = 64
 
 // Die is a fabricated chip: a W×H grid of devices sharing one systematic
-// variation surface. A Die caches per-environment delay tables (see
-// DelaysPS); the cache is safe for concurrent use, so rings sharing a die
+// variation surface. A Die caches per-environment factor tables (see
+// EnvFactors); the cache is safe for concurrent use, so rings sharing a die
 // may be measured from multiple goroutines. Devices is exported for
 // inspection; mutating Base is always safe (factors do not depend on it),
 // while mutating Vth is detected per lookup and falls back to a direct
@@ -223,26 +223,89 @@ func (d *Die) NumDevices() int { return len(d.Devices) }
 // Device returns device i (row-major order).
 func (d *Die) Device(i int) *Device { return &d.Devices[i] }
 
-// envFactor returns the ratio delay(env)/delay(nominal) for a device with
-// threshold voltage vth, following the alpha-power law with
-// temperature-dependent Vth and mobility.
-func (d *Die) envFactor(vth float64, env Env) float64 {
-	p := d.Params
-	f := func(v, tC float64) float64 {
-		vthT := vth + p.VthTempCoeff*(tC-p.TNom)
-		overdrive := v - vthT
-		if overdrive < 0.02 {
-			// Near/below threshold the alpha-power law diverges; clamp the
-			// overdrive so extreme sweep points stay finite (delay becomes
-			// very large, which is the physically right direction).
-			overdrive = 0.02
-		}
-		tK := tC + 273.15
-		t0K := p.TNom + 273.15
-		mob := pow(tK/t0K, p.MobilityExp) // μ ∝ T^−m ⇒ delay ∝ T^m
-		return v / pow(overdrive, p.Alpha) * mob
+// Bounds of the nominal shortcut's guard (see factorKernel). With the
+// clamped overdrive in [0.02, nominalMaxOverdrive] and |Alpha| ≤
+// nominalMaxAlpha, overdrive^Alpha lies in [1e-192, 1e192]; with VNom in
+// [nominalMinV, nominalMaxV] the nominal delay term V/overdrive^Alpha then
+// lies in [1e-195, 1e195], finite and non-zero.
+const (
+	nominalMaxAlpha     = 64
+	nominalMaxOverdrive = 1e3 // [V]
+	nominalMinV         = 1e-3
+	nominalMaxV         = 1e3
+)
+
+// factorKernel evaluates a device's environment factor
+// delay(env)/delay(nominal) under the alpha-power law with
+// temperature-dependent Vth and mobility:
+//
+//	f(V, T) = V / overdrive^Alpha · (T_K/T0_K)^MobilityExp
+//	overdrive = max(V − (Vth + VthTempCoeff·(T − TNom)), 0.02)
+//
+// Every term that does not depend on the device is computed once per
+// environment, so an off-nominal factor costs two math.Pow calls (one
+// overdrive power each for env and nominal). The operations and their
+// order are those of the direct formula, so results are bit-identical to
+// it.
+//
+// At exactly the nominal environment the numerator and denominator are the
+// same float computation, so the factor is exactly 1 whenever that value
+// is finite and non-zero, and the nominal delay is Base with no math.Pow
+// call at all. The kernel takes that shortcut only when a cheap guard
+// proves it (mobility term exactly 1, bounded Alpha, VNom and per-device
+// overdrive); otherwise it divides, so degenerate Params keep their
+// direct-formula results, NaN included.
+type factorKernel struct {
+	v, vNom       float64 // supply [V] at env and at nominal
+	dVth, dVthNom float64 // VthTempCoeff·(T − TNom) at env and at nominal
+	mob, mobNom   float64 // (T_K/T0_K)^MobilityExp at env and at nominal
+	alpha         float64
+	nominal       bool // env is exactly nominal and the die-wide guard holds
+}
+
+func (p *Params) factorKernel(env Env) factorKernel {
+	t0K := p.TNom + 273.15
+	k := factorKernel{
+		v:       env.V,
+		vNom:    p.VNom,
+		dVth:    p.VthTempCoeff * (env.T - p.TNom),
+		dVthNom: p.VthTempCoeff * (p.TNom - p.TNom),
+		mob:     pow((env.T+273.15)/t0K, p.MobilityExp), // μ ∝ T^−m ⇒ delay ∝ T^m
+		mobNom:  pow(t0K/t0K, p.MobilityExp),
+		alpha:   p.Alpha,
 	}
-	return f(env.V, env.T) / f(p.VNom, p.TNom)
+	k.nominal = env == Env{V: p.VNom, T: p.TNom} && k.mobNom == 1 &&
+		math.Abs(p.Alpha) <= nominalMaxAlpha && p.VNom >= nominalMinV && p.VNom <= nominalMaxV
+	return k
+}
+
+// factor returns the environment factor of a device with threshold
+// voltage vth. It is small enough to inline into the whole-die loops, so
+// the nominal shortcut costs a compare per device. (The unclamped
+// overdrive is within the bound exactly when the clamped one is: the
+// clamp value 0.02 is, and NaN is in neither.)
+func (k *factorKernel) factor(vth float64) float64 {
+	if k.nominal && k.vNom-(vth+k.dVthNom) <= nominalMaxOverdrive {
+		return 1
+	}
+	return k.ratio(vth)
+}
+
+// ratio is f(env)/f(nominal) evaluated in full: two math.Pow calls.
+func (k *factorKernel) ratio(vth float64) float64 {
+	return k.v / pow(overdrive(k.v, vth+k.dVth), k.alpha) * k.mob /
+		(k.vNom / pow(overdrive(k.vNom, vth+k.dVthNom), k.alpha) * k.mobNom)
+}
+
+// overdrive returns v − vthT clamped from below: near or below threshold
+// the alpha-power law diverges, so extreme sweep points stay finite (delay
+// becomes very large, which is the physically right direction).
+func overdrive(v, vthT float64) float64 {
+	od := v - vthT
+	if od < 0.02 {
+		return 0.02
+	}
+	return od
 }
 
 // pow is math.Pow specialized to positive bases (documents intent; the
@@ -255,8 +318,8 @@ func pow(base, exp float64) float64 {
 	return mathPow(base, exp)
 }
 
-// envTableFor returns the (possibly freshly built) delay table for env and
-// promotes it to the current slot.
+// envTableFor returns the (possibly freshly built) factor table for env
+// and promotes it to the current slot.
 func (d *Die) envTableFor(env Env) *envTable {
 	if t := d.current.Load(); t != nil && t.env == env {
 		return t
@@ -271,13 +334,12 @@ func (d *Die) envTableFor(env Env) *envTable {
 		env:     env,
 		vth:     make([]float64, len(d.Devices)),
 		factors: make([]float64, len(d.Devices)),
-		delays:  make([]float64, len(d.Devices)),
 	}
+	k := d.Params.factorKernel(env)
 	for i := range d.Devices {
-		dev := &d.Devices[i]
-		t.vth[i] = dev.Vth
-		t.factors[i] = d.envFactor(dev.Vth, env)
-		t.delays[i] = dev.Base * t.factors[i]
+		vth := d.Devices[i].Vth
+		t.vth[i] = vth
+		t.factors[i] = k.factor(vth)
 	}
 	if d.tables == nil || len(d.tables) >= maxEnvTables {
 		d.tables = make(map[Env]*envTable, 8)
@@ -290,43 +352,29 @@ func (d *Die) envTableFor(env Env) *envTable {
 // EnvFactors returns the per-device environment-factor table for env
 // (factor i is delay(env)/delay(nominal) for device i), building and
 // caching it on first use. The returned slice is shared and must not be
-// mutated.
+// mutated. Paths that re-read one environment many times (the circuit
+// stage tabulations) use it; a single whole-die read wants DelaysIntoPS.
 func (d *Die) EnvFactors(env Env) []float64 {
 	return d.envTableFor(env).factors
 }
 
-// DelaysPS returns the per-device delay table for env in picoseconds,
-// building and caching it on first use. The table snapshots Device.Base at
-// build time; the returned slice is shared and must not be mutated. A
-// fixed-environment sweep should prefer this (or any whole-ring accessor,
-// which warms the same cache) over per-device DelayPS calls: the four
-// math.Pow evaluations per device are paid once per (die, environment)
-// instead of once per query.
-func (d *Die) DelaysPS(env Env) []float64 {
-	return d.envTableFor(env).delays
-}
-
 // DelaysIntoPS fills dst with every device's delay under env, in
 // picoseconds, and returns dst. It is the board-major bulk accessor behind
-// measure.BoardMeter: one call pins a single cached environment table for
-// the whole die (building it on first use) and performs zero allocations
-// on the warm path. Each entry is validated against the device's current
-// Vth — a device mutated after the table was built falls back to a direct
-// recomputation, which is bit-identical to per-device DelayPS calls —
-// so concurrent readers may share a die while a sweep is in flight.
-// len(dst) must equal NumDevices.
+// measure.BoardMeter. It is table-free: one factor kernel per call,
+// evaluated straight from each device's live Base and Vth into dst, so it
+// neither builds nor consults the env-table cache (a board read once per
+// environment would only pay to build a table it never re-reads) and
+// performs no allocations. At nominal it costs no math.Pow call; off
+// nominal, two per device. Results are bit-identical to per-device
+// DelayPS calls. len(dst) must equal NumDevices.
 func (d *Die) DelaysIntoPS(dst []float64, env Env) ([]float64, error) {
 	if len(dst) != len(d.Devices) {
 		return nil, fmt.Errorf("silicon: DelaysIntoPS dst has %d entries, die has %d devices", len(dst), len(d.Devices))
 	}
-	t := d.envTableFor(env)
+	k := d.Params.factorKernel(env)
 	for i := range d.Devices {
 		dev := &d.Devices[i]
-		if t.vth[i] == dev.Vth {
-			dst[i] = dev.Base * t.factors[i]
-		} else {
-			dst[i] = dev.Base * d.envFactor(dev.Vth, env)
-		}
+		dst[i] = dev.Base * k.factor(dev.Vth)
 	}
 	return dst, nil
 }
@@ -335,13 +383,13 @@ func (d *Die) DelaysIntoPS(dst []float64, env Env) ([]float64, error) {
 // picoseconds. It panics if i is out of range. When the die's current
 // cached environment matches env the lookup is a multiply; otherwise the
 // factor is recomputed directly (a point query does not build a table —
-// call DelaysPS to warm one).
+// call EnvFactors to warm one).
 func (d *Die) DelayPS(i int, env Env) float64 {
 	dev := &d.Devices[i]
 	if t := d.current.Load(); t != nil && t.env == env && t.vth[i] == dev.Vth {
 		return dev.Base * t.factors[i]
 	}
-	return dev.Base * d.envFactor(dev.Vth, env)
+	return d.DelayAtUncachedPS(*dev, env)
 }
 
 // DelayAtPS is DelayPS for an explicit device value (used by circuit stages
@@ -356,16 +404,16 @@ func (d *Die) DelayAtPS(dev Device, env Env) float64 {
 			return dev.Base * t.factors[i]
 		}
 	}
-	return dev.Base * d.envFactor(dev.Vth, env)
+	return d.DelayAtUncachedPS(dev, env)
 }
 
 // DelayAtUncachedPS is DelayAtPS with the environment-factor cache
-// bypassed: it always recomputes the alpha-power-law factors (4 math.Pow
-// calls). It is the reference path for the *Naive measurement
-// implementations and for equivalence tests; results are bit-identical to
-// the cached accessors.
+// bypassed: it always evaluates the factor kernel. It is the reference
+// path for the *Naive measurement implementations and for equivalence
+// tests; results are bit-identical to the cached accessors.
 func (d *Die) DelayAtUncachedPS(dev Device, env Env) float64 {
-	return dev.Base * d.envFactor(dev.Vth, env)
+	k := d.Params.factorKernel(env)
+	return dev.Base * k.factor(dev.Vth)
 }
 
 // SystematicAt returns the systematic variation fraction at grid position

@@ -111,12 +111,24 @@ func TestBaseDelayDistribution(t *testing.T) {
 	}
 }
 
+// TestDelayAtNominalEqualsBase: at exactly nominal the environment factor
+// is exactly 1, so every accessor returns each device's Base bit for bit.
 func TestDelayAtNominalEqualsBase(t *testing.T) {
 	d := testDie(t, 3)
 	env := Env{V: d.Params.VNom, T: d.Params.TNom}
-	for i := 0; i < 10; i++ {
-		if math.Abs(d.DelayPS(i, env)-d.Device(i).Base) > 1e-9 {
-			t.Fatalf("device %d: nominal delay %.6f != base %.6f", i, d.DelayPS(i, env), d.Device(i).Base)
+	batch := make([]float64, d.NumDevices())
+	if _, err := d.DelaysIntoPS(batch, env); err != nil {
+		t.Fatal(err)
+	}
+	for i, dev := range d.Devices {
+		for name, got := range map[string]float64{
+			"DelayPS":      d.DelayPS(i, env),
+			"DelayAtPS":    d.DelayAtPS(dev, env),
+			"DelaysIntoPS": batch[i],
+		} {
+			if math.Float64bits(got) != math.Float64bits(dev.Base) {
+				t.Fatalf("device %d: nominal %s %x != base %x", i, name, math.Float64bits(got), math.Float64bits(dev.Base))
+			}
 		}
 	}
 }
@@ -237,17 +249,16 @@ func TestEnvTableBitIdenticalToUncached(t *testing.T) {
 	d := testDie(t, 31)
 	envs := []Env{Nominal, {V: 1.08, T: 45}, {V: 1.32, T: -20}, {V: 0.96, T: 85}}
 	for _, env := range envs {
-		delays := d.DelaysPS(env)
 		factors := d.EnvFactors(env)
-		if len(delays) != d.NumDevices() || len(factors) != d.NumDevices() {
-			t.Fatalf("table lengths %d/%d, want %d", len(delays), len(factors), d.NumDevices())
+		if len(factors) != d.NumDevices() {
+			t.Fatalf("table length %d, want %d", len(factors), d.NumDevices())
 		}
 		for i := range d.Devices {
 			dev := d.Devices[i]
 			want := d.DelayAtUncachedPS(dev, env)
-			if delays[i] != want {
-				t.Fatalf("env %+v device %d: DelaysPS %x, uncached %x",
-					env, i, math.Float64bits(delays[i]), math.Float64bits(want))
+			if got := dev.Base * factors[i]; got != want {
+				t.Fatalf("env %+v device %d: Base·EnvFactors %x, uncached %x",
+					env, i, math.Float64bits(got), math.Float64bits(want))
 			}
 			if got := d.DelayPS(i, env); got != want {
 				t.Fatalf("env %+v device %d: DelayPS %x, uncached %x",
@@ -271,7 +282,7 @@ func TestEnvTableBitIdenticalToUncached(t *testing.T) {
 func TestEnvTableVthMutationFallsBack(t *testing.T) {
 	d := testDie(t, 32)
 	env := Env{V: 1.14, T: 60}
-	d.DelaysPS(env) // warm the table
+	d.EnvFactors(env) // warm the table
 	k := 7
 	d.Devices[k].Vth += 0.05
 	want := d.DelayAtUncachedPS(d.Devices[k], env)
@@ -293,7 +304,7 @@ func TestEnvTableVthMutationFallsBack(t *testing.T) {
 func TestEnvTableForeignDeviceFallsBack(t *testing.T) {
 	d := testDie(t, 33)
 	env := Env{V: 1.26, T: 10}
-	d.DelaysPS(env)
+	d.EnvFactors(env)
 	// A device whose coordinates lie outside the grid must not index the
 	// table; it computes directly.
 	foreign := Device{X: -3, Y: 1, Base: 180, Vth: 0.47}
@@ -308,10 +319,10 @@ func TestEnvTableStoreCapResets(t *testing.T) {
 	// correct through the generational reset.
 	for i := 0; i < maxEnvTables+16; i++ {
 		env := Env{V: 1.0 + 0.002*float64(i), T: 25}
-		got := d.DelaysPS(env)[5]
+		got := d.Devices[5].Base * d.EnvFactors(env)[5]
 		want := d.DelayAtUncachedPS(d.Devices[5], env)
 		if got != want {
-			t.Fatalf("env %d: DelaysPS %g, want %g", i, got, want)
+			t.Fatalf("env %d: Base·EnvFactors %g, want %g", i, got, want)
 		}
 	}
 	if len(d.tables) > maxEnvTables {
@@ -330,13 +341,13 @@ func TestEnvTableConcurrentLookups(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
 				env := envs[(g+iter)%len(envs)]
-				delays := d.DelaysPS(env)
 				i := (g*31 + iter) % d.NumDevices()
-				if delays[i] != d.DelayAtUncachedPS(d.Devices[i], env) {
+				delay := d.Devices[i].Base * d.EnvFactors(env)[i]
+				if delay != d.DelayAtUncachedPS(d.Devices[i], env) {
 					errc <- fmt.Errorf("goroutine %d iter %d: cached delay mismatch", g, iter)
 					return
 				}
-				if d.DelayPS(i, env) != delays[i] {
+				if d.DelayPS(i, env) != delay {
 					errc <- fmt.Errorf("goroutine %d iter %d: DelayPS mismatch", g, iter)
 					return
 				}
