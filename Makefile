@@ -15,9 +15,13 @@ test:
 	$(GO) test ./...
 
 # PR gate: static checks plus the full test suite under the race detector.
-# govulncheck runs when installed (CI installs it; local trees without it
-# skip with a note rather than failing).
+# Every tracked Go file must be gofmt-clean. govulncheck runs when installed
+# (CI installs it; local trees without it skip with a note rather than
+# failing).
 verify:
+	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo "verify: no tracked Go files (not a git checkout?)"; exit 1; }; \
+	unformatted=$$(gofmt -l $$files); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \

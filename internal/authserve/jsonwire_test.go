@@ -98,37 +98,37 @@ var verifyDecodeCases = []string{
 	`{}`,
 	`null`,
 	`{"id":null,"challenge_id":null,"response":null}`,
-	`{"response":"01","response":null}`,          // null is a no-op, keeps "01"
-	`{"response":"01","response":"10"}`,          // duplicate: last wins
-	`{"id":"a","id":"b"}`,                        // duplicate string
-	`{"unknown":123,"id":"x"}`,                   // unknown number
+	`{"response":"01","response":null}`,              // null is a no-op, keeps "01"
+	`{"response":"01","response":"10"}`,              // duplicate: last wins
+	`{"id":"a","id":"b"}`,                            // duplicate string
+	`{"unknown":123,"id":"x"}`,                       // unknown number
 	`{"unknown":{"nested":[1,"two",null]},"id":"x"}`, // unknown composite
 	`{"unknown":[[],{},[{"a":[false]}]]}`,
 	`{"id":"esc\u0041\n\t\"\\\/"}`,
-	`{"id":"\ud83c\udf89"}`,      // surrogate pair
-	`{"id":"\ud800"}`,            // lone high surrogate -> U+FFFD
-	`{"id":"\udc00 low alone"}`,  // lone low surrogate
-	`{"id":"\ud800\ud800"}`,      // high followed by high
-	`{"id":"\ud800x"}`,           // high followed by normal char
-	`{"id":"héllo 世界"}`,          // raw multibyte passthrough
-	`{"response":"01x"}`,         // bits error, JSON fine
+	`{"id":"\ud83c\udf89"}`,     // surrogate pair
+	`{"id":"\ud800"}`,           // lone high surrogate -> U+FFFD
+	`{"id":"\udc00 low alone"}`, // lone low surrogate
+	`{"id":"\ud800\ud800"}`,     // high followed by high
+	`{"id":"\ud800x"}`,          // high followed by normal char
+	`{"id":"héllo 世界"}`,         // raw multibyte passthrough
+	`{"response":"01x"}`,        // bits error, JSON fine
 	`{"response":""}`,
-	``,            // empty body: EOF both ways
-	`   `,         // whitespace only
-	`[1,2]`,       // wrong top-level type
-	`"str"`,       // wrong top-level type
-	`true`,        // wrong top-level type
-	`{`,           // truncated
-	`{"id"`,       // truncated at colon
-	`{"id":}`,     // missing value
-	`{"id":"a"`,   // truncated before close
-	`{"id":"a",}`, // trailing comma
-	`{"id":"a" "challenge_id":"b"}`, // missing comma
-	`{"id":'a'}`,                    // single quotes
+	``,                               // empty body: EOF both ways
+	`   `,                            // whitespace only
+	`[1,2]`,                          // wrong top-level type
+	`"str"`,                          // wrong top-level type
+	`true`,                           // wrong top-level type
+	`{`,                              // truncated
+	`{"id"`,                          // truncated at colon
+	`{"id":}`,                        // missing value
+	`{"id":"a"`,                      // truncated before close
+	`{"id":"a",}`,                    // trailing comma
+	`{"id":"a" "challenge_id":"b"}`,  // missing comma
+	`{"id":'a'}`,                     // single quotes
 	`{"id":"raw` + "\x01" + `ctrl"}`, // raw control byte in string
-	`{"id":"bad\escape"}`,           // invalid escape
-	`{"id":"\u12"}`,                 // truncated hex escape
-	`{"id":"\uZZZZ"}`,               // invalid hex digits
+	`{"id":"bad\escape"}`,            // invalid escape
+	`{"id":"\u12"}`,                  // truncated hex escape
+	`{"id":"\uZZZZ"}`,                // invalid hex digits
 	`{"id":"unterminated`,
 	`{"id":123}`,   // number into string field
 	`{"id":true}`,  // bool into string field

@@ -20,7 +20,9 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ropuf/internal/silicon"
 )
@@ -90,32 +92,109 @@ func (b *Board) HasCondition(c Condition) bool {
 	return ok
 }
 
-// Conditions returns the measured conditions in deterministic order:
-// nominal first, then the voltage sweep, then the temperature sweep,
-// skipping absent entries and duplicates.
-func (b *Board) Conditions() []Condition {
-	seen := map[Condition]bool{}
-	var out []Condition
-	add := func(c Condition) {
-		if !seen[c] && b.HasCondition(c) {
-			seen[c] = true
+// sweepOrder is the canonical condition order: nominal first, then the
+// voltage sweep, then the temperature sweep, duplicates dropped. An
+// environment board is measured under exactly these conditions, in this
+// order; a population board under sweepOrder[:1].
+var sweepOrder = func() []Condition {
+	out := []Condition{NominalCondition}
+	for _, c := range append(VoltageSweep(), TemperatureSweep()...) {
+		if !slices.Contains(out, c) {
 			out = append(out, c)
-		}
-	}
-	add(NominalCondition)
-	for _, c := range VoltageSweep() {
-		add(c)
-	}
-	for _, c := range TemperatureSweep() {
-		add(c)
-	}
-	for c := range b.Freq {
-		if !seen[c] {
-			out = append(out, c)
-			seen[c] = true
 		}
 	}
 	return out
+}()
+
+// Conditions returns the measured conditions in deterministic order: those
+// of sweepOrder the board carries, in that order, then any others sorted
+// by (MilliVolts, DeciCelsius). The order fixes the row order of every
+// encoding, so one board always encodes to the same bytes.
+func (b *Board) Conditions() []Condition {
+	out := make([]Condition, 0, len(b.Freq))
+	for _, c := range sweepOrder {
+		if b.HasCondition(c) {
+			out = append(out, c)
+		}
+	}
+	if len(out) == len(b.Freq) {
+		return out
+	}
+	swept := len(out)
+	for c := range b.Freq {
+		if !slices.Contains(sweepOrder, c) {
+			out = append(out, c)
+		}
+	}
+	slices.SortFunc(out[swept:], func(x, y Condition) int {
+		return cmp.Or(cmp.Compare(x.MilliVolts, y.MilliVolts), cmp.Compare(x.DeciCelsius, y.DeciCelsius))
+	})
+	return out
+}
+
+// Clone returns a deep copy of b that shares no memory with it. Boards
+// handed to the callbacks of StreamVT, StreamVTParallel and
+// ShardReader.Boards are borrowed; a callback that keeps one keeps a
+// Clone.
+func (b *Board) Clone() *Board {
+	c := &Board{ID: b.ID, GridW: b.GridW, GridH: b.GridH}
+	xy := make([]int, len(b.X)+len(b.Y))
+	nx := copy(xy, b.X)
+	copy(xy[nx:], b.Y)
+	if b.X != nil {
+		c.X = xy[:nx:nx]
+	}
+	if b.Y != nil {
+		c.Y = xy[nx:]
+	}
+	if b.Freq == nil {
+		return c
+	}
+	total := 0
+	for _, f := range b.Freq {
+		total += len(f)
+	}
+	freqs := make([]float64, total)
+	c.Freq = make(map[Condition][]float64, len(b.Freq))
+	for cond, f := range b.Freq {
+		n := copy(freqs, f)
+		c.Freq[cond], freqs = freqs[:n:n], freqs[n:]
+	}
+	return c
+}
+
+// boardBuf is a Board together with the backing arrays its slices view,
+// so the generator and the shard reader can refill one board in place
+// instead of allocating one per board. The Board is what callbacks borrow.
+type boardBuf struct {
+	Board
+	xy    []int
+	freqs []float64
+}
+
+// reset shapes the board for n ROs measured under nConds conditions,
+// reusing the backing arrays when they are large enough: X and Y view one
+// array, the freq vectors (see freqAt) another, and Freq is emptied.
+func (bb *boardBuf) reset(id, gridW, gridH, n, nConds int) {
+	if cap(bb.xy) < 2*n {
+		bb.xy = make([]int, 2*n)
+	}
+	if cap(bb.freqs) < nConds*n {
+		bb.freqs = make([]float64, nConds*n)
+	}
+	bb.ID, bb.GridW, bb.GridH = id, gridW, gridH
+	bb.X, bb.Y = bb.xy[:n:n], bb.xy[n:2*n:2*n]
+	if bb.Freq == nil {
+		bb.Freq = make(map[Condition][]float64, nConds)
+	} else {
+		clear(bb.Freq)
+	}
+}
+
+// freqAt is the n-RO frequency vector of the ci-th condition, capped so an
+// append cannot spill into the next condition's vector.
+func (bb *boardBuf) freqAt(ci, n int) []float64 {
+	return bb.freqs[ci*n : (ci+1)*n : (ci+1)*n]
 }
 
 // Frequencies returns the per-RO frequencies under c, or an error if the

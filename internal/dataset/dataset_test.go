@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"ropuf/internal/silicon"
@@ -190,6 +191,72 @@ func TestBoardLookupAndConditions(t *testing.T) {
 	}
 	if len(conds) != len(env.Freq) {
 		t.Fatalf("Conditions lists %d entries, board has %d", len(conds), len(env.Freq))
+	}
+}
+
+// TestBoardEncodingDeterministic encodes one board carrying three
+// conditions outside the sweeps 50 times through both codecs: map
+// iteration order must not reach the bytes (or the shard CRCs).
+func TestBoardEncodingDeterministic(t *testing.T) {
+	b := &Board{ID: 3, GridW: 2, GridH: 1, X: []int{0, 1}, Y: []int{0, 0}, Freq: map[Condition][]float64{
+		{1100, 300}:      {91, 92},
+		NominalCondition: {95, 96},
+		{900, 250}:       {89, 90},
+		{1100, 200}:      {93, 94},
+		{1320, 250}:      {97, 98},
+	}}
+	want := []Condition{NominalCondition, {1320, 250}, {900, 250}, {1100, 200}, {1100, 300}}
+	if got := b.Conditions(); !slices.Equal(got, want) {
+		t.Fatalf("Conditions = %v, want %v", got, want)
+	}
+	encode := func() (bin, text []byte) {
+		bin, err := appendBinBoard(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		w, err := NewCSVWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteBoard(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return bin, buf.Bytes()
+	}
+	bin0, csv0 := encode()
+	for i := 1; i < 50; i++ {
+		bin, text := encode()
+		if !bytes.Equal(bin, bin0) {
+			t.Fatalf("binary encoding %d differs from the first", i)
+		}
+		if !bytes.Equal(text, csv0) {
+			t.Fatalf("CSV encoding %d differs from the first", i)
+		}
+	}
+}
+
+func TestBoardClone(t *testing.T) {
+	ds, err := GenerateVT(smallVTConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := ds.EnvBoards()[0]
+	c := orig.Clone()
+	equalBoards(t, "clone", orig, c)
+	c.X[0]++
+	c.Y[len(c.Y)-1]++
+	for _, f := range c.Freq {
+		f[0]++
+	}
+	if orig.X[0] == c.X[0] || orig.Y[len(orig.Y)-1] == c.Y[len(c.Y)-1] || orig.Freq[NominalCondition][0] == c.Freq[NominalCondition][0] {
+		t.Fatal("Clone shares memory with the original")
+	}
+	if got := (&Board{ID: 1}).Clone(); got.X != nil || got.Y != nil || got.Freq != nil {
+		t.Fatalf("Clone of an empty board grew fields: %+v", got)
 	}
 }
 

@@ -30,6 +30,27 @@ func fuzzSeedRecord(t testing.TB) []byte {
 	return frameRecord(body)
 }
 
+// sweptRecord frames a board record of n ROs measured under conds, with
+// distinct position and frequency values throughout.
+func sweptRecord(t testing.TB, id, n int, conds []Condition) []byte {
+	b := &Board{ID: id, GridW: n, GridH: 1, X: make([]int, n), Y: make([]int, n), Freq: map[Condition][]float64{}}
+	for i := range b.X {
+		b.X[i] = i
+	}
+	for ci, c := range conds {
+		f := make([]float64, n)
+		for i := range f {
+			f[i] = 90 + float64(ci) + float64(i)/64
+		}
+		b.Freq[c] = f
+	}
+	body, err := appendBinBoard(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frameRecord(body)
+}
+
 // frameRecord wraps a record body in its length + CRC32-C frame.
 func frameRecord(body []byte) []byte {
 	var hdr [8]byte
@@ -53,10 +74,15 @@ func oversizedClaimRecord() []byte {
 }
 
 // FuzzShardBin feeds arbitrary bytes to the framed-record decoder the way
-// binCursor does: records are read back to back until one fails. Corrupt
-// input must produce an error, never a panic or an oversized allocation,
-// and every decoded board must be internally consistent.
+// binCursor does: records are read back to back into one reused scratch
+// until one fails. Corrupt input must produce an error, never a panic or
+// an oversized allocation, and every decoded board must be internally
+// consistent. Differentially, every accepted record is decoded again into
+// a fresh scratch and into one left dirty by a larger 9-condition record:
+// all three boards must be equal, so no condition or RO of an earlier
+// record survives into a later one.
 func FuzzShardBin(f *testing.F) {
+	dirty := sweptRecord(f, 1, 24, sweepOrder)
 	seed := fuzzSeedRecord(f)
 	f.Add(seed)
 	f.Add(append(append([]byte{}, seed...), seed...)) // two records back to back
@@ -71,14 +97,33 @@ func FuzzShardBin(f *testing.F) {
 	bad[len(bad)-1] ^= 0xFF
 	f.Add(bad)
 	f.Add(oversizedClaimRecord())
+	// A 9-condition record followed by a 1-condition one: the second
+	// decodes into the board the first left behind.
+	f.Add(append(sweptRecord(f, 1, 16, sweepOrder), sweptRecord(f, 2, 4, sweepOrder[:1])...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bytes.NewReader(data)
-		var buf []byte
+		var s binScratch
 		for {
-			b, rows, err := readBinBoard(br, &buf)
+			start := len(data) - br.Len()
+			b, rows, err := readBinBoard(br, &s)
 			if err != nil {
 				return // rejection is the expected outcome for garbage
 			}
+			rec := data[start : len(data)-br.Len()]
+			fresh, _, err := readBinBoard(bytes.NewReader(rec), new(binScratch))
+			if err != nil {
+				t.Fatalf("record decodes in sequence but not into a fresh board: %v", err)
+			}
+			var used binScratch
+			if _, _, err := readBinBoard(bytes.NewReader(dirty), &used); err != nil {
+				t.Fatal(err)
+			}
+			reused, _, err := readBinBoard(bytes.NewReader(rec), &used)
+			if err != nil {
+				t.Fatalf("record decodes into a fresh board but not a used one: %v", err)
+			}
+			equalBoards(t, "in sequence vs fresh", b, fresh)
+			equalBoards(t, "used vs fresh", reused, fresh)
 			n := len(b.X)
 			if len(b.Y) != n {
 				t.Fatalf("decoded board has %d X but %d Y", n, len(b.Y))
@@ -150,8 +195,7 @@ func FuzzManifest(f *testing.F) {
 func TestFuzzSeedsDecode(t *testing.T) {
 	seed := fuzzSeedRecord(t)
 	br := bytes.NewReader(seed)
-	var buf []byte
-	b, rows, err := readBinBoard(br, &buf)
+	b, rows, err := readBinBoard(br, new(binScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

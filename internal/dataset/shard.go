@@ -427,8 +427,16 @@ func (r *ShardReader) Manifest() *Manifest { return r.man }
 // Boards streams every board to fn in the exact order they were written
 // (the round-robin interleave of the shards), verifying each shard's
 // CRC32-C, board count, and row count against the manifest as a side
-// effect. Memory is constant in the corpus size.
+// effect. Memory is constant in the corpus size: binary shards decode
+// every record into one board and one body buffer, shared by all the
+// shard cursors of the call.
+//
+// The *Board passed to fn is borrowed: it is valid only until fn returns,
+// after which the next record may be decoded into it (the
+// bufio.Scanner.Bytes idiom). A callback that keeps a board keeps
+// b.Clone().
 func (r *ShardReader) Boards(fn func(*Board) error) error {
+	var scratch binScratch
 	cursors := make([]shardCursor, len(r.man.Files))
 	defer func() {
 		for _, c := range cursors {
@@ -438,7 +446,7 @@ func (r *ShardReader) Boards(fn func(*Board) error) error {
 		}
 	}()
 	for i, fi := range r.man.Files {
-		c, err := openCursor(filepath.Join(r.dir, fi.File), fi, r.man.Format)
+		c, err := openCursor(filepath.Join(r.dir, fi.File), fi, r.man.Format, &scratch)
 		if err != nil {
 			return err
 		}
@@ -463,12 +471,13 @@ func (r *ShardReader) Boards(fn func(*Board) error) error {
 }
 
 // ReadAll loads the whole corpus into a Dataset (environment boards are
-// those measured under more than one condition, as in ReadCSV). Intended
-// for corpora that fit in memory; large fleets should use Boards.
+// those measured under more than one condition, as in ReadCSV), keeping a
+// Clone of every borrowed board. Intended for corpora that fit in memory;
+// large fleets should use Boards.
 func (r *ShardReader) ReadAll() (*Dataset, error) {
 	ds := &Dataset{Name: "shards"}
 	err := r.Boards(func(b *Board) error {
-		ds.Boards = append(ds.Boards, b)
+		ds.Boards = append(ds.Boards, b.Clone())
 		if len(b.Freq) > 1 {
 			ds.EnvIDs = append(ds.EnvIDs, b.ID)
 		}
@@ -505,7 +514,7 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func openCursor(path string, fi ShardInfo, format Format) (shardCursor, error) {
+func openCursor(path string, fi ShardInfo, format Format, scratch *binScratch) (shardCursor, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: open shard: %w", err)
@@ -514,7 +523,7 @@ func openCursor(path string, fi ShardInfo, format Format) (shardCursor, error) {
 	br := bufio.NewReaderSize(cr, 1<<16)
 	switch format {
 	case FormatBin:
-		cur := &binCursor{file: f, cr: cr, br: br, fi: fi}
+		cur := &binCursor{file: f, cr: cr, br: br, fi: fi, scratch: scratch}
 		if err := cur.readMagic(); err != nil {
 			f.Close()
 			return nil, err
@@ -553,15 +562,15 @@ func finishShard(fi ShardInfo, cr *crcReader, br io.Reader, boards int, rows int
 	return nil
 }
 
-// binCursor decodes framed binary board records.
+// binCursor decodes framed binary board records into its shared scratch.
 type binCursor struct {
-	file   *os.File
-	cr     *crcReader
-	br     *bufio.Reader
-	fi     ShardInfo
-	boards int
-	rows   int64
-	buf    []byte
+	file    *os.File
+	cr      *crcReader
+	br      *bufio.Reader
+	fi      ShardInfo
+	boards  int
+	rows    int64
+	scratch *binScratch
 }
 
 func (c *binCursor) readMagic() error {
@@ -576,7 +585,7 @@ func (c *binCursor) readMagic() error {
 }
 
 func (c *binCursor) next() (*Board, error) {
-	b, rows, err := readBinBoard(c.br, &c.buf)
+	b, rows, err := readBinBoard(c.br, c.scratch)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: shard %s: %w", c.fi.File, err)
 	}
@@ -591,9 +600,16 @@ func (c *binCursor) finish() error {
 
 func (c *binCursor) close() error { return c.file.Close() }
 
-// readBinBoard decodes one framed record from br. buf is a reusable body
-// buffer. Returns the board and its row count.
-func readBinBoard(br io.Reader, buf *[]byte) (*Board, int64, error) {
+// binScratch is the reusable decode state of binary records: the record
+// body buffer and the board every record is decoded into.
+type binScratch struct {
+	body []byte
+	bb   boardBuf
+}
+
+// readBinBoard decodes one framed record from br into s's board and
+// returns that board, valid until the next call on s, and its row count.
+func readBinBoard(br io.Reader, s *binScratch) (*Board, int64, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -606,10 +622,10 @@ func readBinBoard(br io.Reader, buf *[]byte) (*Board, int64, error) {
 	if bodyLen > maxRecordBytes {
 		return nil, 0, fmt.Errorf("record length %d exceeds limit %d", bodyLen, maxRecordBytes)
 	}
-	if cap(*buf) < int(bodyLen) {
-		*buf = make([]byte, bodyLen)
+	if cap(s.body) < int(bodyLen) {
+		s.body = make([]byte, bodyLen)
 	}
-	body := (*buf)[:bodyLen]
+	body := s.body[:bodyLen]
 	if _, err := io.ReadFull(br, body); err != nil {
 		return nil, 0, fmt.Errorf("read record body: %w", err)
 	}
@@ -633,16 +649,9 @@ func readBinBoard(br io.Reader, buf *[]byte) (*Board, int64, error) {
 	if want := binBodySize(n, nConds); int64(len(body)) != want {
 		return nil, 0, fmt.Errorf("record body is %d bytes, %d ROs × %d conditions need %d", len(body), n, nConds, want)
 	}
-	xy := make([]int, 2*n)
-	freqs := make([]float64, nConds*n)
-	b := &Board{
-		ID:    int(le.Uint32(body[0:4])),
-		GridW: int(le.Uint16(body[4:6])),
-		GridH: int(le.Uint16(body[6:8])),
-		X:     xy[:n:n],
-		Y:     xy[n:],
-		Freq:  make(map[Condition][]float64, nConds),
-	}
+	bb := &s.bb
+	bb.reset(int(le.Uint32(body[0:4])), int(le.Uint16(body[4:6])), int(le.Uint16(body[6:8])), n, nConds)
+	b := &bb.Board
 	p := body[binHeaderSize:]
 	for i := 0; i < n; i++ {
 		b.X[i] = int(le.Uint16(p[4*i:]))
@@ -654,7 +663,7 @@ func readBinBoard(br io.Reader, buf *[]byte) (*Board, int64, error) {
 		if _, dup := b.Freq[cond]; dup {
 			return nil, 0, fmt.Errorf("record repeats condition %v", cond)
 		}
-		f := freqs[ci*n : (ci+1)*n : (ci+1)*n]
+		f := bb.freqAt(ci, n)
 		for i := range f {
 			f[i] = math.Float64frombits(le.Uint64(p[8+8*i:]))
 		}

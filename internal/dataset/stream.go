@@ -6,21 +6,22 @@ import (
 	"sync"
 
 	"ropuf/internal/fleet"
-	"ropuf/internal/measure"
 	"ropuf/internal/rngx"
 )
 
 // StreamVT generates the VT dataset one board at a time, invoking fn with
 // each board in ID order. Unlike GenerateVT it never materializes the
-// corpus: the only live state is the board currently being fabricated and
-// measured, so memory is constant in the board count and the paper-scale
-// 198-board corpus — or a 10k-board fleet — streams straight to disk. The
-// board sequence is bit-identical to GenerateVT at the same configuration
-// (GenerateVT is StreamVT plus an accumulator; the equivalence battery in
-// stream_test.go pins it).
+// corpus: one die and one board are refilled in place for every board, so
+// memory is constant in the board count and the steady state allocates no
+// die or board storage; the paper-scale 199-board corpus — or a 10k-board
+// fleet — streams straight to disk. The board sequence is bit-identical to
+// GenerateVT at the same configuration (GenerateVT is StreamVT plus an
+// accumulator; the equivalence battery in stream_test.go pins it).
 //
-// The *Board passed to fn is owned by fn: StreamVT never reuses it, so
-// callbacks may retain boards (at the cost of the memory bound).
+// The *Board passed to fn is borrowed: it is valid only until fn returns,
+// after which StreamVT refills it with the next board (the
+// bufio.Scanner.Bytes idiom). A callback that keeps a board, or any slice
+// or map it holds, keeps b.Clone().
 func StreamVT(cfg VTConfig, fn func(*Board) error) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -31,29 +32,34 @@ func StreamVT(cfg VTConfig, fn func(*Board) error) error {
 // streamVT is StreamVT over an explicit root generator and context; the
 // golden test drives it directly to pin the post-generation root state.
 func streamVT(ctx context.Context, cfg VTConfig, root *rngx.RNG, fn func(*Board) error) error {
-	bm := measure.NewBoardMeter(cfg.NoiseMHz)
+	fab := newFabricator(cfg)
+	var bb boardBuf
 	for id := 0; id < cfg.NumBoards; id++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("dataset: stream cancelled: %w", err)
 		}
 		brng := root.Split()
-		board, err := generateVTBoard(cfg, id, id >= cfg.NumBoards-cfg.NumEnvBoards, brng, bm)
-		if err != nil {
+		if err := fab.board(id, id >= cfg.NumBoards-cfg.NumEnvBoards, brng, &bb); err != nil {
 			return fmt.Errorf("dataset: board %d: %w", id, err)
 		}
-		if err := fn(board); err != nil {
+		if err := fn(&bb.Board); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// streamWindow is StreamVTParallel's reorder window for a worker count:
+// the most boards dispatched but not yet emitted, and so the most boards
+// it ever allocates.
+func streamWindow(workers int) int { return 2*workers + 2 }
+
 // streamResult carries one generated board from a worker to the in-order
 // emitter.
 type streamResult struct {
-	idx   int
-	board *Board
-	err   error
+	idx int
+	bb  *boardBuf
+	err error
 }
 
 // StreamVTParallel is StreamVT with board fabrication fanned out over a
@@ -64,7 +70,14 @@ type streamResult struct {
 // goroutine, in board-ID order, with completed boards held in a reorder
 // window bounded by the worker count (dispatch is window-throttled, so
 // memory stays constant in the board count even when one board runs slow).
-// workers <= 1 degrades to the serial generator.
+// Each worker refabricates one die in place, and boards are recycled
+// through a free list once fn returns, so at most streamWindow(workers)
+// boards are ever allocated. workers <= 1 degrades to the serial
+// generator.
+//
+// As with StreamVT, the *Board passed to fn is borrowed: it is valid only
+// until fn returns, after which a worker refills it. A callback that keeps
+// a board keeps b.Clone().
 func StreamVTParallel(ctx context.Context, cfg VTConfig, workers int, fn func(*Board) error) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -85,8 +98,12 @@ func StreamVTParallel(ctx context.Context, cfg VTConfig, workers int, fn func(*B
 	// serial Split stream) and throttles dispatch to the reorder window:
 	// a board is only handed to a worker once fewer than `window` boards
 	// are dispatched-but-unemitted, which bounds worker-side buffering.
-	window := 2*workers + 2
+	// A token is returned only after its board is back on the free list,
+	// so every allocated board is either free or held by a token: at most
+	// `window` boards exist.
+	window := streamWindow(workers)
 	tokens := make(chan struct{}, window)
+	free := make(chan *boardBuf, window)
 	var seedMu sync.Mutex
 	seeds := make(map[int]uint64, window)
 	prepare := func(idx int) {
@@ -101,9 +118,9 @@ func StreamVTParallel(ctx context.Context, cfg VTConfig, workers int, fn func(*B
 	}
 
 	results := make(chan streamResult, window)
-	meters := make([]*measure.BoardMeter, workers)
-	for i := range meters {
-		meters[i] = measure.NewBoardMeter(cfg.NoiseMHz)
+	fabs := make([]*fabricator, workers)
+	for i := range fabs {
+		fabs[i] = newFabricator(cfg)
 	}
 	run := func(worker, idx int) {
 		seedMu.Lock()
@@ -115,12 +132,18 @@ func StreamVTParallel(ctx context.Context, cfg VTConfig, workers int, fn func(*B
 			// loop is about to stop, drop the job.
 			return
 		}
-		board, err := generateVTBoard(cfg, idx, idx >= n-cfg.NumEnvBoards, rngx.New(seed), meters[worker])
+		var bb *boardBuf
+		select {
+		case bb = <-free:
+		default:
+			bb = new(boardBuf)
+		}
+		err := fabs[worker].board(idx, idx >= n-cfg.NumEnvBoards, rngx.New(seed), bb)
 		if err != nil {
 			err = fmt.Errorf("dataset: board %d: %w", idx, err)
 		}
 		select {
-		case results <- streamResult{idx: idx, board: board, err: err}:
+		case results <- streamResult{idx: idx, bb: bb, err: err}:
 		case <-ctx.Done():
 		}
 	}
@@ -143,21 +166,28 @@ func StreamVTParallel(ctx context.Context, cfg VTConfig, workers int, fn func(*B
 			}
 			delete(pending, next)
 			next++
+			// After an error, keep draining so workers never block on a
+			// full channel.
+			if emitErr == nil {
+				if cur.err != nil {
+					emitErr = cur.err
+				} else {
+					emitErr = fn(&cur.bb.Board)
+				}
+				if emitErr != nil {
+					cancel()
+				}
+			}
+			// Recycle the board before releasing its token. Neither
+			// operation can block (free has room for every board, and
+			// every result holds a token); the selects keep it that way.
+			select {
+			case free <- cur.bb:
+			default:
+			}
 			select {
 			case <-tokens:
 			default:
-			}
-			if emitErr != nil {
-				continue // drain so workers never block on a full channel
-			}
-			if cur.err != nil {
-				emitErr = cur.err
-				cancel()
-				continue
-			}
-			if err := fn(cur.board); err != nil {
-				emitErr = err
-				cancel()
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,7 +21,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden dataset files")
 
 // equalBoards fails the test unless a and b match bit for bit: identity,
-// geometry, positions, and every frequency under every condition.
+// geometry, positions, and every frequency under every condition
+// (compared as Float64bits, so decoded NaNs compare equal to themselves).
 func equalBoards(t *testing.T, label string, a, b *Board) {
 	t.Helper()
 	if a.ID != b.ID {
@@ -50,7 +52,7 @@ func equalBoards(t *testing.T, label string, a, b *Board) {
 			t.Fatalf("%s: board %d cond %v has %d ROs != %d", label, a.ID, cond, len(fa), len(fb))
 		}
 		for i := range fa {
-			if fa[i] != fb[i] {
+			if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
 				t.Fatalf("%s: board %d cond %v RO %d: %x != %x",
 					label, a.ID, cond, i, fa[i], fb[i])
 			}
@@ -58,11 +60,12 @@ func equalBoards(t *testing.T, label string, a, b *Board) {
 	}
 }
 
+// collectStream keeps a Clone of every board StreamVT lends out.
 func collectStream(t *testing.T, cfg VTConfig) []*Board {
 	t.Helper()
 	var boards []*Board
 	if err := StreamVT(cfg, func(b *Board) error {
-		boards = append(boards, b)
+		boards = append(boards, b.Clone())
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -93,7 +96,7 @@ func TestStreamVTParallelMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			var got []*Board
 			err := StreamVTParallel(context.Background(), cfg, workers, func(b *Board) error {
-				got = append(got, b)
+				got = append(got, b.Clone())
 				return nil
 			})
 			if err != nil {
@@ -107,6 +110,41 @@ func TestStreamVTParallelMatchesSerial(t *testing.T) {
 					t.Fatalf("board %d emitted at position %d: parallel emission out of order", got[i].ID, i)
 				}
 				equalBoards(t, "parallel vs serial", serial[i], got[i])
+			}
+		})
+	}
+}
+
+// TestStreamVTParallelRecyclesBoards checks the free list: cloned in the
+// sink, the boards still equal the serial stream, while the sink is lent
+// no more distinct *Board values than the reorder window (one, serially).
+// CI-style: go test -race -count=10 -run RecyclesBoards ./internal/dataset
+func TestStreamVTParallelRecyclesBoards(t *testing.T) {
+	cfg := smallVTConfig()
+	cfg.NumBoards = 40
+	serial := collectStream(t, cfg)
+	for _, workers := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			bound := 1
+			if workers > 1 {
+				bound = streamWindow(workers)
+			}
+			lent := map[*Board]bool{}
+			i := 0
+			err := StreamVTParallel(context.Background(), cfg, workers, func(b *Board) error {
+				lent[b] = true
+				equalBoards(t, "recycled vs serial", serial[i], b.Clone())
+				i++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i != len(serial) {
+				t.Fatalf("emitted %d boards, want %d", i, len(serial))
+			}
+			if len(lent) > bound {
+				t.Fatalf("%d distinct boards lent for %d workers, pool bound %d", len(lent), workers, bound)
 			}
 		})
 	}
@@ -256,7 +294,7 @@ func TestVTDefaultCorpusDigest(t *testing.T) {
 // four bin shards, then read back, in steady state (after one warm-up
 // corpus). Fabrication, measurement, encoding and decoding all count.
 func TestVTBoardAllocBudget(t *testing.T) {
-	const budget = 56 << 10
+	const budget = 12 << 10
 	cfg := DefaultVTConfig()
 	corpus := func(dir string) {
 		w, err := NewShardWriter(dir, 4, FormatBin)

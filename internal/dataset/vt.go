@@ -72,13 +72,14 @@ func (c VTConfig) Validate() error {
 
 // GenerateVT fabricates the full dataset in memory. Population boards get
 // one nominal measurement; the last NumEnvBoards boards get the voltage
-// and temperature sweeps as well. It is StreamVT plus an accumulator —
-// corpora too large to hold (10k-board fleets) should use StreamVT with a
-// ShardWriter instead; the two produce bit-identical boards.
+// and temperature sweeps as well. It is StreamVT plus an accumulator that
+// keeps a Clone of each borrowed board — corpora too large to hold (10k-board
+// fleets) should use StreamVT with a ShardWriter instead; the two produce
+// bit-identical boards.
 func GenerateVT(cfg VTConfig) (*Dataset, error) {
 	ds := &Dataset{Name: "vt-synthetic"}
 	err := StreamVT(cfg, func(b *Board) error {
-		ds.Boards = append(ds.Boards, b)
+		ds.Boards = append(ds.Boards, b.Clone())
 		if len(b.Freq) > 1 {
 			ds.EnvIDs = append(ds.EnvIDs, b.ID)
 		}
@@ -90,50 +91,48 @@ func GenerateVT(cfg VTConfig) (*Dataset, error) {
 	return ds, nil
 }
 
-// generateVTBoard fabricates one die and measures it under its conditions
-// with the board-major batch meter (one table-free delay pass and one noise
-// NormFill per condition; bm's scratch is reused across boards). X and Y
-// share one backing array, and so do all the board's frequency vectors.
-// The result is bit-identical to the historical per-device loop.
-func generateVTBoard(cfg VTConfig, id int, env bool, rng *rngx.RNG, bm *measure.BoardMeter) (*Board, error) {
-	die, err := silicon.NewDie(cfg.Process, cfg.GridW, cfg.GridH, rng)
-	if err != nil {
-		return nil, err
+// fabricator is one generator's reusable per-board state: a die that is
+// refabricated in place for every board, and the batch meter's scratch.
+type fabricator struct {
+	die *silicon.Die
+	bm  *measure.BoardMeter
+}
+
+func newFabricator(cfg VTConfig) *fabricator {
+	return &fabricator{
+		die: &silicon.Die{Params: cfg.Process, W: cfg.GridW, H: cfg.GridH},
+		bm:  measure.NewBoardMeter(cfg.NoiseMHz),
 	}
-	conds := []Condition{NominalCondition}
+}
+
+// board fabricates board id into bb: it refabricates the die from rng and
+// measures it under its conditions with the board-major batch meter (one
+// table-free delay pass and one noise NormFill per condition). Once the
+// die and bb have held a board of this shape, it allocates no die, board
+// or frequency storage. The result is bit-identical to the historical
+// per-device loop.
+func (f *fabricator) board(id int, env bool, rng *rngx.RNG, bb *boardBuf) error {
+	if err := f.die.Refabricate(rng); err != nil {
+		return err
+	}
+	conds := sweepOrder[:1]
 	if env {
-		seen := map[Condition]bool{NominalCondition: true}
-		for _, c := range append(VoltageSweep(), TemperatureSweep()...) {
-			if !seen[c] {
-				seen[c] = true
-				conds = append(conds, c)
-			}
-		}
+		conds = sweepOrder
 	}
-	n := die.NumDevices()
-	xy := make([]int, 2*n)
-	freqs := make([]float64, len(conds)*n)
-	b := &Board{
-		ID:    id,
-		GridW: cfg.GridW,
-		GridH: cfg.GridH,
-		X:     xy[:n:n],
-		Y:     xy[n:],
-		Freq:  make(map[Condition][]float64, len(conds)),
-	}
-	for i := 0; i < n; i++ {
-		dev := die.Device(i)
-		b.X[i], b.Y[i] = dev.X, dev.Y
+	n := f.die.NumDevices()
+	bb.reset(id, f.die.W, f.die.H, n, len(conds))
+	for i, dev := range f.die.Devices {
+		bb.X[i], bb.Y[i] = dev.X, dev.Y
 	}
 	mrng := rng.Split() // measurement-noise stream, separate from fabrication
 	for ci, c := range conds {
-		f, err := bm.MeasureInto(freqs[ci*n:(ci+1)*n:(ci+1)*n], die, c.Env(), mrng)
+		fr, err := f.bm.MeasureInto(bb.freqAt(ci, n), f.die, c.Env(), mrng)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		b.Freq[c] = f
+		bb.Freq[c] = fr
 	}
-	return b, nil
+	return nil
 }
 
 // GroupBitsPerBoard returns how many PUF bits a board with numROs ring

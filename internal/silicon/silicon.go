@@ -176,15 +176,39 @@ type Die struct {
 
 // NewDie fabricates a die with w×h devices using the supplied process
 // parameters and randomness source. Fabrication is deterministic given the
-// RNG state.
+// RNG state. It is Refabricate on a die that has no devices yet.
 func NewDie(p Params, w, h int, rng *rngx.RNG) (*Die, error) {
-	if err := p.Validate(); err != nil {
+	d := &Die{Params: p, W: w, H: h}
+	if err := d.Refabricate(rng); err != nil {
 		return nil, err
 	}
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("silicon: die dimensions must be positive, got %dx%d", w, h)
+	return d, nil
+}
+
+// Refabricate fabricates a new die in place: it redraws the systematic
+// surface and every device from rng under d.Params at d.W×d.H, exactly as
+// NewDie(d.Params, d.W, d.H, rng) would, and drops the env-table cache. A
+// Die with only Params, W and H set is ready for it. Devices is refilled in
+// place when its length is W×H; otherwise (a die built by hand, or one
+// whose W or H changed) it is reallocated at W×H. Invalid Params or
+// dimensions are rejected before rng is drawn from, leaving d unchanged.
+// Refabricate is not safe for concurrent use with any other method: it is
+// for one owner recycling one die across boards.
+func (d *Die) Refabricate(rng *rngx.RNG) error {
+	p, w, h := d.Params, d.W, d.H
+	if err := p.Validate(); err != nil {
+		return err
 	}
-	d := &Die{Params: p, W: w, H: h, Devices: make([]Device, w*h)}
+	if w <= 0 || h <= 0 {
+		return fmt.Errorf("silicon: die dimensions must be positive, got %dx%d", w, h)
+	}
+	if len(d.Devices) != w*h {
+		d.Devices = make([]Device, w*h)
+	}
+	d.current.Store(nil)
+	d.mu.Lock()
+	d.tables = nil
+	d.mu.Unlock()
 	// Per-die systematic surface. The constant term models die-to-die mean
 	// shift; the polynomial terms model intra-die spatial gradients.
 	for i := range d.surf.c {
@@ -206,7 +230,7 @@ func NewDie(p Params, w, h int, rng *rngx.RNG) (*Die, error) {
 			d.Devices[y*w+x] = Device{X: x, Y: y, Base: base, Vth: vth}
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // normCoord maps grid index i of n to [−1, 1].
