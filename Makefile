@@ -86,7 +86,9 @@ bench-smoke:
 fleet-bench:
 	$(GO) test -run xxx -bench 'BenchmarkFleetEnroll' -benchtime 10x .
 
-# Fuzz the shard segment, binary enrollment and shard-corpus decoders against
+# Fuzz the shard segment, binary enrollment and shard-corpus decoders and
+# the HTTP request decoders (the JSON fast path differentially against
+# encoding/json, the binary enroll body as an encoder round trip) against
 # hostile bytes (CI runs these for short bursts; crashes land under the
 # packages' testdata/fuzz directories).
 FUZZTIME ?= 10s
@@ -95,6 +97,8 @@ fuzz:
 	$(GO) test -run FuzzLoadEnrollmentBinary -fuzz FuzzLoadEnrollmentBinary -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run FuzzShardBin -fuzz FuzzShardBin -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run FuzzManifest -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run FuzzJSONWire -fuzz FuzzJSONWire -fuzztime $(FUZZTIME) ./internal/authserve
+	$(GO) test -run FuzzEnrollBinary -fuzz FuzzEnrollBinary -fuzztime $(FUZZTIME) ./internal/authserve
 
 # End-to-end smoke of the streaming dataset generator at paper scale
 # (199 boards x 512 ROs, 5 env boards under the 9-condition V/T sweep =

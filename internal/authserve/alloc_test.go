@@ -39,8 +39,8 @@ func (s *serveReused) do(body []byte) int {
 
 // TestServerVerifyAllocBudget is the hard gate on the zero-alloc verify
 // path: at most 8 heap allocations per request through the full handler
-// chain (admission, hand JSON decode, store verify, hand JSON encode,
-// metrics). The steady-state residue is the two identity strings the
+// chain (admission, JSON fast-path decode, store verify, fast-path
+// encode, metrics). The steady-state residue is the two identity strings the
 // store may retain plus pool noise; 8 leaves headroom without letting a
 // per-request decoder or encoder sneak back in.
 func TestServerVerifyAllocBudget(t *testing.T) {
@@ -85,7 +85,7 @@ func TestServerVerifyAllocBudget(t *testing.T) {
 	}
 }
 
-// TestServerChallengeAllocBudget bounds the hand-coded challenge path.
+// TestServerChallengeAllocBudget bounds the JSON fast-path challenge route.
 // Challenge legitimately allocates what it returns and records — the
 // chosen-pairs slice, the challenge object and its nonce, the outstanding
 // map entry — so the bound is a measured ceiling against regression, not

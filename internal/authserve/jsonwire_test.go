@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"ropuf/internal/bits"
 )
 
-// encodeIndented is the generic path the hand encoder must match byte for
-// byte: json.Encoder with two-space indent (HTML escaping on, trailing
-// newline included).
+// encodeIndented is the generic path the fast-path encoder must match
+// byte for byte: json.Encoder with two-space indent (HTML escaping on,
+// trailing newline included).
 func encodeIndented(t *testing.T, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -40,13 +42,52 @@ var nastyStrings = []string{
 	strings.Repeat("long-", 100) + "<end>",
 }
 
+// serverBody runs one response writer the way handlers do, both through
+// a pooled reqScratch and on a plain writer, and returns the body after
+// checking the two agree.
+func serverBody(t *testing.T, write func(http.ResponseWriter)) []byte {
+	t.Helper()
+	plain := httptest.NewRecorder()
+	write(plain)
+	pooled := httptest.NewRecorder()
+	sc := getScratch(pooled)
+	write(sc)
+	putScratch(sc)
+	if !bytes.Equal(plain.Body.Bytes(), pooled.Body.Bytes()) {
+		t.Fatalf("pooled body %q differs from plain body %q", pooled.Body.Bytes(), plain.Body.Bytes())
+	}
+	return plain.Body.Bytes()
+}
+
+// checkEncoders holds the encoders to encoding/json for one string: an ok
+// from an append function must mean the reference bytes, and the server's
+// writers (fast path or fallback) must produce them always.
+func checkEncoders(t *testing.T, s string) {
+	t.Helper()
+	wantErr := encodeIndented(t, ErrorResponse{Error: s})
+	if got, ok := appendErrorResponse(nil, s); ok && !bytes.Equal(got, wantErr) {
+		t.Errorf("appendErrorResponse(%q):\n got %q\nwant %q", s, got, wantErr)
+	}
+	if got := serverBody(t, func(w http.ResponseWriter) { writeError(w, http.StatusBadRequest, s) }); !bytes.Equal(got, wantErr) {
+		t.Errorf("error body for %q:\n got %q\nwant %q", s, got, wantErr)
+	}
+	for _, v := range []ChallengeResponse{
+		{ChallengeID: s, ID: "dev-0001", Pairs: []int{3, 1}, Fresh: 2},
+		{ChallengeID: "c0ffee", ID: s, Pairs: []int{}, Fresh: 0},
+	} {
+		want := encodeIndented(t, v)
+		if got, ok := appendChallengeResponse(nil, v); ok && !bytes.Equal(got, want) {
+			t.Errorf("appendChallengeResponse(%+v):\n got %q\nwant %q", v, got, want)
+		}
+		if got := serverBody(t, func(w http.ResponseWriter) { writeChallenge(w, v) }); !bytes.Equal(got, want) {
+			t.Errorf("challenge body for %+v:\n got %q\nwant %q", v, got, want)
+		}
+	}
+}
+
 func TestAppendErrorResponseMatchesEncodingJSON(t *testing.T) {
 	for _, s := range nastyStrings {
-		got := appendErrorResponse(nil, s)
-		want := encodeIndented(t, ErrorResponse{Error: s})
-		if !bytes.Equal(got, want) {
-			t.Errorf("error body for %q:\n got %q\nwant %q", s, got, want)
-		}
+		checkEncoders(t, s)
 	}
 }
 
@@ -76,7 +117,7 @@ func TestAppendChallengeResponseMatchesEncodingJSON(t *testing.T) {
 		{ChallengeID: "nil-pairs", ID: "y", Pairs: nil, Fresh: 3},
 	}
 	for _, v := range cases {
-		got := appendChallengeResponse(nil, v)
+		got := serverBody(t, func(w http.ResponseWriter) { writeChallenge(w, v) })
 		want := encodeIndented(t, v)
 		if !bytes.Equal(got, want) {
 			t.Errorf("challenge body for %+v:\n got %q\nwant %q", v, got, want)
@@ -91,7 +132,8 @@ func decodeRef(body string, v any) error {
 }
 
 // verifyDecodeCases covers accept/reject parity for the verify request
-// parser: escapes, duplicates, unknown fields, nulls, syntax errors.
+// parser: escapes, duplicates, unknown fields, nulls, syntax errors, and
+// the bodies a general hand parser once decoded differently.
 var verifyDecodeCases = []string{
 	`{"id":"dev-1","challenge_id":"c1","response":"0110"}`,
 	"\r\n\t {\"id\" : \"dev-1\" , \"challenge_id\" : \"c1\" , \"response\" : \"01\" } \n trailing garbage ignored",
@@ -134,36 +176,44 @@ var verifyDecodeCases = []string{
 	`{"id":true}`,  // bool into string field
 	`{"id":["a"]}`, // array into string field
 	`{nonsense}`,
+	`{"k":02}`, // leading zero in a skipped number is still a syntax error
+	`{"ID":"dev-1","Challenge_ID":"c1","RESPONSE":"01"}`, // keys fold case
+	`{"id":"bad utf8 ` + "\xff\xc3" + `"}`,               // invalid UTF-8 becomes U+FFFD
 }
 
 func TestParseVerifyRequestMatchesEncodingJSON(t *testing.T) {
 	for _, body := range verifyDecodeCases {
-		t.Run(fmt.Sprintf("%.40q", body), func(t *testing.T) {
-			var want VerifyRequest
-			wantErr := decodeRef(body, &want)
+		t.Run(fmt.Sprintf("%.40q", body), func(t *testing.T) { checkVerifyParity(t, []byte(body)) })
+	}
+}
 
-			var stream bits.Stream
-			id, challengeID, bitsErr, _, gotErr := parseVerifyRequest([]byte(body), nil, &stream)
+// checkVerifyParity holds parseVerifyRequest to json.Decoder.Decode on
+// one body: the same error-or-not, the same fields, and the same bits.
+func checkVerifyParity(t *testing.T, body []byte) {
+	t.Helper()
+	var want VerifyRequest
+	wantErr := decodeRef(string(body), &want)
 
-			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("error parity: hand parser err=%v, encoding/json err=%v", gotErr, wantErr)
-			}
-			if gotErr != nil {
-				return
-			}
-			if id != want.ID || challengeID != want.ChallengeID {
-				t.Fatalf("fields: got id=%q challenge_id=%q, want id=%q challenge_id=%q",
-					id, challengeID, want.ID, want.ChallengeID)
-			}
-			// The reference path parses bits from the decoded string.
-			wantStream, wantBitsErr := bits.FromString(want.Response)
-			if (bitsErr != nil) != (wantBitsErr != nil) {
-				t.Fatalf("bits error parity: hand=%v reference=%v", bitsErr, wantBitsErr)
-			}
-			if bitsErr == nil && !stream.Equal(wantStream) {
-				t.Fatalf("bits: got %q want %q", stream.String(), wantStream.String())
-			}
-		})
+	var stream bits.Stream
+	id, challengeID, bitsErr, gotErr := parseVerifyRequest(body, &stream)
+
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("body %q: error parity: parser err=%v, encoding/json err=%v", body, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if id != want.ID || challengeID != want.ChallengeID {
+		t.Fatalf("body %q: got id=%q challenge_id=%q, want id=%q challenge_id=%q",
+			body, id, challengeID, want.ID, want.ChallengeID)
+	}
+	// The reference path parses bits from the decoded string.
+	wantStream, wantBitsErr := bits.FromString(want.Response)
+	if (bitsErr != nil) != (wantBitsErr != nil) {
+		t.Fatalf("body %q: bits error parity: parser=%v reference=%v", body, bitsErr, wantBitsErr)
+	}
+	if bitsErr == nil && !stream.Equal(wantStream) {
+		t.Fatalf("body %q: bits: got %q want %q", body, stream.String(), wantStream.String())
 	}
 }
 
@@ -188,27 +238,48 @@ var challengeDecodeCases = []string{
 	`{"unknown":1e}`,             // empty exponent in skipped number
 	`{"id":"x"}`,
 	`null`,
+	`{"ID":"dev-1","k":2}`, // keys fold case
+	`{"id":"dev-1","K":2}`,
+	`{"id":"dev-1","k":123456789}`,  // longest fast-path integer
+	`{"id":"dev-1","k":1234567890}`, // one digit past it
 }
 
 func TestParseChallengeRequestMatchesEncodingJSON(t *testing.T) {
 	for _, body := range challengeDecodeCases {
-		t.Run(fmt.Sprintf("%.40q", body), func(t *testing.T) {
-			var want ChallengeRequest
-			wantErr := decodeRef(body, &want)
-
-			id, k, _, gotErr := parseChallengeRequest([]byte(body), nil)
-
-			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("error parity: hand parser err=%v, encoding/json err=%v", gotErr, wantErr)
-			}
-			if gotErr != nil {
-				return
-			}
-			if id != want.ID || k != want.K {
-				t.Fatalf("fields: got id=%q k=%d, want id=%q k=%d", id, k, want.ID, want.K)
-			}
-		})
+		t.Run(fmt.Sprintf("%.40q", body), func(t *testing.T) { checkChallengeParity(t, []byte(body)) })
 	}
+}
+
+// checkChallengeParity holds parseChallengeRequest to json.Decoder.Decode
+// on one body.
+func checkChallengeParity(t *testing.T, body []byte) {
+	t.Helper()
+	var want ChallengeRequest
+	wantErr := decodeRef(string(body), &want)
+
+	id, k, gotErr := parseChallengeRequest(body)
+
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("body %q: error parity: parser err=%v, encoding/json err=%v", body, gotErr, wantErr)
+	}
+	if gotErr == nil && (id != want.ID || k != want.K) {
+		t.Fatalf("body %q: got id=%q k=%d, want id=%q k=%d", body, id, k, want.ID, want.K)
+	}
+}
+
+// FuzzJSONWire is the differential fuzzer for the JSON fast path: for any
+// body both request parsers must agree with json.Decoder.Decode, and for
+// any string the response writers must match json.Encoder byte for byte.
+// Its seeds are every table case above, also committed as its corpus.
+func FuzzJSONWire(f *testing.F) {
+	for i, body := range append(verifyDecodeCases, challengeDecodeCases...) {
+		f.Add([]byte(body), nastyStrings[i%len(nastyStrings)])
+	}
+	f.Fuzz(func(t *testing.T, body []byte, s string) {
+		checkVerifyParity(t, body)
+		checkChallengeParity(t, body)
+		checkEncoders(t, s)
+	})
 }
 
 // TestParsedStringsDoNotAliasInput pins the correctness property the
@@ -218,7 +289,7 @@ func TestParseChallengeRequestMatchesEncodingJSON(t *testing.T) {
 func TestParsedStringsDoNotAliasInput(t *testing.T) {
 	body := []byte(`{"id":"device-alias-check","challenge_id":"nonce-alias-check","response":"01"}`)
 	var stream bits.Stream
-	id, challengeID, bitsErr, _, err := parseVerifyRequest(body, nil, &stream)
+	id, challengeID, bitsErr, err := parseVerifyRequest(body, &stream)
 	if err != nil || bitsErr != nil {
 		t.Fatalf("parse: %v / %v", err, bitsErr)
 	}
@@ -230,5 +301,20 @@ func TestParsedStringsDoNotAliasInput(t *testing.T) {
 	}
 	if challengeID != "nonce-alias-check" {
 		t.Fatalf("challenge_id aliases the request buffer: %q", challengeID)
+	}
+}
+
+// TestClientBodiesTakeFastPath pins that the bodies clients send
+// (json.Marshal of the request structs) stay on the fast path: the only
+// allocations are the identity strings the parsers copy out.
+func TestClientBodiesTakeFastPath(t *testing.T) {
+	verify, _ := json.Marshal(VerifyRequest{ID: "dev-0042", ChallengeID: "9f86d081884c7d65", Response: "0110100111"})
+	var stream bits.Stream
+	if n := testing.AllocsPerRun(50, func() { parseVerifyRequest(verify, &stream) }); n > 2 {
+		t.Errorf("verify body %s: %.1f allocs, want the 2 identity strings", verify, n)
+	}
+	challenge, _ := json.Marshal(ChallengeRequest{ID: "dev-0042", K: 128})
+	if n := testing.AllocsPerRun(50, func() { parseChallengeRequest(challenge) }); n > 1 {
+		t.Errorf("challenge body %s: %.1f allocs, want the 1 identity string", challenge, n)
 	}
 }

@@ -326,8 +326,8 @@ func (s *Server) Handler() http.Handler {
 // setup allocations: the span name is pre-concatenated, the throttle
 // counter is pre-resolved, and the per-(route, code) metric series are
 // cached in a copy-on-write map. The request's working memory (status
-// capture, body buffer, parser arena, response encoding buffer) comes from
-// a pool; see reqScratch.
+// capture, body buffer, response bits, response encoding buffer) comes
+// from a pool; see reqScratch.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	spanName := "authserve." + route
 	series := newRouteSeries(s, route)
@@ -481,25 +481,22 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // reqScratch is the pooled per-request working set: the status capture
-// every route needs, plus the buffers the hand-coded verify/challenge
-// paths use to run without per-request allocations — request body bytes,
-// the parser's string-unescape arena, the parsed response bits, and the
-// response encoding buffer. Handlers reach it by downcasting their
-// ResponseWriter; a handler invoked with a plain writer (not through
-// instrument) falls back to allocating.
+// every route needs, plus the buffers the verify/challenge JSON fast path
+// uses to run without per-request allocations — request body bytes, the
+// parsed response bits, and the response encoding buffer. Handlers reach
+// it by downcasting their ResponseWriter; a handler invoked with a plain
+// writer (not through instrument) falls back to allocating.
 type reqScratch struct {
 	statusWriter
-	body  []byte
-	arena []byte
-	resp  bits.Stream
-	out   []byte
+	body []byte
+	resp bits.Stream
+	out  []byte
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	return &reqScratch{
-		body:  make([]byte, 0, 4096),
-		arena: make([]byte, 0, 256),
-		out:   make([]byte, 0, 1024),
+		body: make([]byte, 0, 4096),
+		out:  make([]byte, 0, 1024),
 	}
 }}
 
@@ -518,9 +515,6 @@ func putScratch(sc *reqScratch) {
 	sc.ResponseWriter = nil
 	if cap(sc.body) > scratchKeepBytes {
 		sc.body = nil
-	}
-	if cap(sc.arena) > scratchKeepBytes {
-		sc.arena = nil
 	}
 	if cap(sc.out) > scratchKeepBytes {
 		sc.out = nil
@@ -663,8 +657,8 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, EnrollResponse{ID: info.ID, Pairs: info.Pairs, Bits: info.Bits, Fresh: info.Fresh})
 }
 
-// handleChallenge is a hand-coded hot path: pooled body read, hand JSON
-// parse and encode (byte-identical to the generic encoder — see
+// handleChallenge is a hot path: pooled body read, the JSON fast path in
+// both directions (encoding/json semantics by construction — see
 // jsonwire.go), and an inline store span instead of a closure.
 func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
 	sc, _ := w.(*reqScratch)
@@ -673,14 +667,7 @@ func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
 		return
 	}
-	var arena []byte
-	if sc != nil {
-		arena = sc.arena
-	}
-	id, k, arena, perr := parseChallengeRequest(body, arena)
-	if sc != nil {
-		sc.arena = arena
-	}
+	id, k, perr := parseChallengeRequest(body)
 	if perr != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON body: "+perr.Error())
 		return
@@ -698,13 +685,13 @@ func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
 	s.emitAudit(r.Context(), audit.EventChallenge, ch.DeviceID, "", map[string]float64{
 		"k": float64(len(ch.Pairs)), "fresh_after": float64(fresh),
 	})
-	writeChallengeJSON(w, sc, ChallengeResponse{ChallengeID: nonce, ID: ch.DeviceID, Pairs: ch.Pairs, Fresh: fresh})
+	writeChallenge(w, ChallengeResponse{ChallengeID: nonce, ID: ch.DeviceID, Pairs: ch.Pairs, Fresh: fresh})
 }
 
 // handleVerify is the hottest route and runs allocation-free apart from
-// the two identity strings the store may retain: pooled body buffer, hand
-// JSON parse straight into a pooled bit stream, pooled reference scratch
-// inside the verifier, and a hand-encoded response.
+// the two identity strings the store may retain: pooled body buffer, JSON
+// fast-path parse straight into a pooled bit stream, pooled reference
+// scratch inside the verifier, and a hand-encoded response.
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	sc, _ := w.(*reqScratch)
 	body, err := readBody(sc, r)
@@ -712,17 +699,11 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
 		return
 	}
-	var arena []byte
 	resp := &bits.Stream{}
 	if sc != nil {
-		arena = sc.arena
 		resp = &sc.resp
 	}
-	resp.Reset()
-	id, challengeID, bitsErr, arena, perr := parseVerifyRequest(body, arena, resp)
-	if sc != nil {
-		sc.arena = arena
-	}
+	id, challengeID, bitsErr, perr := parseVerifyRequest(body, resp)
 	if perr != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON body: "+perr.Error())
 		return
@@ -747,7 +728,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			"distance": float64(dist), "limit": float64(limit),
 		})
 	}
-	writeVerifyJSON(w, sc, VerifyResponse{OK: ok, Distance: dist, Limit: limit, Bits: resp.Len()})
+	writeWire(w, http.StatusOK, appendVerifyResponse(wireBuf(w),
+		VerifyResponse{OK: ok, Distance: dist, Limit: limit, Bits: resp.Len()}))
 }
 
 func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
@@ -824,47 +806,42 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeWire sends a pre-encoded JSON body.
+// wireBuf returns the pooled encoding buffer, emptied, when w came through
+// instrument, and nil otherwise.
+func wireBuf(w http.ResponseWriter) []byte {
+	if sc, ok := w.(*reqScratch); ok {
+		return sc.out[:0]
+	}
+	return nil
+}
+
+// writeWire sends a pre-encoded JSON body, keeping its buffer for the
+// next request when w is pooled.
 func writeWire(w http.ResponseWriter, code int, body []byte) {
+	if sc, ok := w.(*reqScratch); ok {
+		sc.out = body
+	}
 	w.Header()["Content-Type"] = jsonCT
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
 }
 
-func writeVerifyJSON(w http.ResponseWriter, sc *reqScratch, v VerifyResponse) {
-	var out []byte
-	if sc != nil {
-		out = sc.out[:0]
+// writeChallenge and writeError send the fast-path encoding when it
+// applies and writeJSON's otherwise; the bytes are the same either way.
+func writeChallenge(w http.ResponseWriter, v ChallengeResponse) {
+	if out, ok := appendChallengeResponse(wireBuf(w), v); ok {
+		writeWire(w, http.StatusOK, out)
+		return
 	}
-	out = appendVerifyResponse(out, v)
-	if sc != nil {
-		sc.out = out
-	}
-	writeWire(w, http.StatusOK, out)
-}
-
-func writeChallengeJSON(w http.ResponseWriter, sc *reqScratch, v ChallengeResponse) {
-	var out []byte
-	if sc != nil {
-		out = sc.out[:0]
-	}
-	out = appendChallengeResponse(out, v)
-	if sc != nil {
-		sc.out = out
-	}
-	writeWire(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, v)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	// Errors reuse the scratch encoding buffer when the request came
-	// through instrument; the rendered bytes are identical to the generic
-	// encoder's ErrorResponse output.
-	if sc, ok := w.(*reqScratch); ok {
-		sc.out = appendErrorResponse(sc.out[:0], msg)
-		writeWire(w, code, sc.out)
+	if out, ok := appendErrorResponse(wireBuf(w), msg); ok {
+		writeWire(w, code, out)
 		return
 	}
-	writeWire(w, code, appendErrorResponse(nil, msg))
+	writeJSON(w, code, ErrorResponse{Error: msg})
 }
 
 // --- serving & graceful drain ----------------------------------------------

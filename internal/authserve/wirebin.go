@@ -123,6 +123,9 @@ func decodeEnrollBinary(r io.Reader, req *EnrollRequest) error {
 	if nPairs > enrollWireMaxPairs {
 		return fmt.Errorf("authserve: %d pairs exceed the wire limit", nPairs)
 	}
+	if !need(nPairs * 4) { // two u16 stage counts per pair, checked before allocating
+		return fmt.Errorf("authserve: truncated binary enroll body")
+	}
 	readF64s := func() ([]float64, error) {
 		if !need(2) {
 			return nil, fmt.Errorf("authserve: truncated binary enroll body")

@@ -2,7 +2,9 @@ package authserve
 
 import (
 	"bytes"
+	"math"
 	"net/http"
+	"runtime"
 	"testing"
 )
 
@@ -85,4 +87,53 @@ func TestBinaryEnrollWire(t *testing.T) {
 			t.Errorf("%s binary body = %d, want 400", name, resp.StatusCode)
 		}
 	}
+}
+
+// hostileEnrollBody names 2^20 pairs in 11 bytes: 'R' 'E', version 1,
+// default mode, a 1-byte ID "x", then nPairs = 0x00100000.
+var hostileEnrollBody = []byte{0x52, 0x45, 0x01, 0x00, 0x01, 0x00, 0x78, 0x00, 0x00, 0x10, 0x00}
+
+// TestDecodeEnrollBinaryHostileCountAllocatesLittle pins that a pair count
+// the body cannot hold is rejected before the pairs slice is allocated
+// (each pair needs at least its two u16 stage counts).
+func TestDecodeEnrollBinaryHostileCountAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var req EnrollRequest
+	err := decodeEnrollBinary(bytes.NewReader(hostileEnrollBody), &req)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("hostile pair count accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("rejecting an 11-byte body allocated %d B", d)
+	}
+}
+
+// FuzzEnrollBinary holds the binary enroll decoder to its encoder: any
+// body it accepts must re-encode byte-identically through
+// AppendEnrollBinary.
+func FuzzEnrollBinary(f *testing.F) {
+	valid, err := AppendEnrollBinary(nil, &EnrollRequest{ID: "dev-0001", Mode: "case1", Pairs: []PairWire{
+		{Alpha: []float64{1.5, -2}, Beta: []float64{3, math.NaN()}},
+		{Alpha: []float64{}, Beta: []float64{math.Inf(1)}},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(hostileEnrollBody)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req EnrollRequest
+		if decodeEnrollBinary(bytes.NewReader(body), &req) != nil {
+			return
+		}
+		again, err := AppendEnrollBinary(nil, &req)
+		if err != nil {
+			t.Fatalf("re-encoding accepted body: %v", err)
+		}
+		if !bytes.Equal(again, body) {
+			t.Fatalf("re-encoded %x, want %x", again, body)
+		}
+	})
 }

@@ -12,6 +12,11 @@ import (
 // agree on: clients inject it, servers extract it.
 const TraceparentHeader = "traceparent"
 
+// traceparentKey is TraceparentHeader in http.Header's canonical form.
+// Indexing the map with it directly skips the per-call canonicalisation
+// (and its allocation) of h.Get and h.Set on the lower-case name.
+var traceparentKey = http.CanonicalHeaderKey(TraceparentHeader)
+
 // FormatTraceparent renders sc as a version-00 W3C traceparent value with
 // the sampled flag set: `00-<trace-id>-<span-id>-01`.
 func FormatTraceparent(sc SpanContext) string {
@@ -72,18 +77,18 @@ func Inject(ctx context.Context, h http.Header) {
 	if !ok {
 		return
 	}
-	h.Set(TraceparentHeader, FormatTraceparent(sc))
+	h[traceparentKey] = []string{FormatTraceparent(sc)}
 }
 
 // Extract reads and validates the traceparent header from h. ok is false
 // when the header is absent or malformed; the caller then roots a fresh
 // trace instead of joining one.
 func Extract(h http.Header) (SpanContext, bool) {
-	value := h.Get(TraceparentHeader)
-	if value == "" {
+	values := h[traceparentKey]
+	if len(values) == 0 {
 		return SpanContext{}, false
 	}
-	sc, err := ParseTraceparent(value)
+	sc, err := ParseTraceparent(values[0])
 	if err != nil {
 		return SpanContext{}, false
 	}

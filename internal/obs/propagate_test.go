@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -113,5 +115,33 @@ func TestExtractMalformedFallsBack(t *testing.T) {
 			t.Fatalf("fresh root has invalid context %+v", span.Context())
 		}
 		span.End()
+	}
+}
+
+// TestExtractWithoutHeaderAllocatesNothing pins the untraced request path:
+// looking for an absent traceparent costs no allocation.
+func TestExtractWithoutHeaderAllocatesNothing(t *testing.T) {
+	h := http.Header{"Content-Type": {"application/json"}, "Content-Length": {"52"}}
+	if n := testing.AllocsPerRun(100, func() { Extract(h) }); n != 0 {
+		t.Fatalf("Extract without traceparent: %.1f allocs, want 0", n)
+	}
+}
+
+// TestExtractReadsSetAndWireHeaders checks Extract finds the header
+// whether it was Set by a caller or parsed off the wire.
+func TestExtractReadsSetAndWireHeaders(t *testing.T) {
+	value := "00-" + testTraceID + "-" + testSpanID + "-01"
+	set := http.Header{}
+	set.Set(TraceparentHeader, value)
+	req, err := http.ReadRequest(bufio.NewReader(strings.NewReader(
+		"GET / HTTP/1.1\r\nHost: x\r\ntraceparent: " + value + "\r\n\r\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]http.Header{"Set": set, "wire": req.Header} {
+		sc, ok := Extract(h)
+		if !ok || sc.TraceID != testTraceID || sc.SpanID != testSpanID {
+			t.Errorf("%s header: extracted %+v/%v", name, sc, ok)
+		}
 	}
 }
